@@ -218,7 +218,9 @@ class ThimbleRay:
     where the step was taken and x always the affine coordinate.  The
     running value f is the integral of the form from the zero, offset by
     the critical value, so Im(exp(-i d) f) is constant along the ray and
-    Re(exp(-i d) f) is strictly increasing.
+    Re(exp(-i d) f) is strictly increasing.  f advances by increments of
+    the closed-form primitive (`derham.Primitive`, kept as `primitive`
+    for the node tables built on the ray).
     """
 
     def __init__(self, one_form, crit, j, ell, d, local, controls):
@@ -234,6 +236,7 @@ class ThimbleRay:
         self._state = None          # (x_chart_value, f, chart, s)
         self._form_aff = one_form.form
         self._form_inf = one_form.form.at_infinity()
+        self.primitive = derham.Primitive(one_form)
         self._unit = mpmath.exp(1j * self.d)
         self._setup_geometry()
         self._seed()
@@ -320,13 +323,19 @@ class ThimbleRay:
         v = self._unit / a
         return v / abs(v)
 
-    def _f_increment(self, chart, a_pt, b_pt, n=8):
-        mid = (a_pt + b_pt) / 2
-        half = (b_pt - a_pt) / 2
-        acc = mpc(0)
-        for x, w in legendre_nodes(n):
-            acc += w * self._form_value(chart, mid + half * x)
-        return acc * half
+    def _project(self, chart, x, f, x_new):
+        """Put an accepted step back on the flow line; f exact at the result.
+
+        One Newton step along i e^{id}/a restores Im(e^{-id} f) = psi0 to
+        second order in the step error, and f is the closed-form primitive
+        at the projected point, so every sample carries f to working
+        precision.
+        """
+        x_aff = self._affine(chart, x)
+        f_new = f + self.primitive.increment(x_aff, self._affine(chart, x_new))
+        drift = mpmath.im(mpmath.conj(self._unit) * f_new) - self.psi0
+        x_new = x_new - drift * 1j * self._unit / self._form_value(chart, x_new)
+        return x_new, f + self.primitive.increment(x_aff, self._affine(chart, x_new))
 
     # -- main loop --
 
@@ -348,14 +357,7 @@ class ThimbleRay:
                 h *= mpf("0.5")
                 continue
             # accept
-            df = self._f_increment(chart, x, x_new)
-            f_new = f + df
-            # projection: one Newton step along i e^{id}/a restores Im
-            drift = mpmath.im(mpmath.exp(-1j * self.d) * f_new) - self.psi0
-            a_val = self._form_value(chart, x_new)
-            corr = -drift * 1j * self._unit / a_val
-            x_new = x_new + corr
-            f_new = f_new - drift * 1j * self._unit
+            x_new, f_new = self._project(chart, x, f, x_new)
             s_new = s + h
             if err < tol / 32:
                 h *= mpf(2)
@@ -457,7 +459,7 @@ class ThimbleRay:
     # -- post-capture handling --
 
     def flow_progress(self, f):
-        return mpmath.re(mpmath.exp(-1j * self.d) * (f - self.crit.values[self.j]))
+        return mpmath.re(mpmath.conj(self._unit) * (f - self.crit.values[self.j]))
 
     def _extend_irregular(self, reach):
         """Continue inside the trap until Re(e^{-id}(f-c)) >= reach."""
@@ -474,14 +476,8 @@ class ThimbleRay:
             if err > tol and h > mpf("1e-40"):
                 h *= mpf("0.5")
                 continue
-            df = self._f_increment(chart, x, x_new)
-            f_new = f + df
-            drift = mpmath.im(mpmath.exp(-1j * self.d) * f_new) - self.psi0
-            a_val = self._form_value(chart, x_new)
-            x_new = x_new - drift * 1j * self._unit / a_val
-            f_new = f_new - drift * 1j * self._unit
+            x, f = self._project(chart, x, f, x_new)
             s += h
-            x, f = x_new, f_new
             self.samples.append((s, self._affine(chart, x), f))
             if err < tol / 32:
                 h *= 2
@@ -612,16 +608,17 @@ class ThimblePath:
 _ray_cache = {}
 
 
-def trace_ray(one_form, crit, j, ell, d, controls=None, local=None):
+def trace_ray(one_form, crit, j, ell, d, controls=None):
     """Trace the outgoing ray `ell` (0..m) at zero j along direction d."""
     controls = controls or TraceControls()
     m = one_form.zeros[j].order
+    # the cached ray keeps one_form and crit alive, so their ids stay unique
     key = (id(one_form), id(crit), j, ell % (m + 1), mpmath.nstr(mpf(d), 22),
-           mpmath.nstr(mpf(controls.rk_tol), 8), mp.prec)
+           controls, mp.prec)
     if key in _ray_cache:
         return _ray_cache[key]
-    if local is None:
-        local = derham.local_coordinate_series(one_form, j, max(m + 2, 16))
+    # memoized by value: one series per zero, shared by every ray
+    local = derham.local_coordinate_series(one_form, j, max(m + 2, 16))
     ray = ThimbleRay(one_form, crit, j, ell % (m + 1), d, local, controls)
     _ray_cache[key] = ray
     return ray
@@ -636,18 +633,7 @@ def trace_thimble(one_form, crit, j, ell, d, controls=None, generic_check=None):
     """
     if generic_check is not None and not generic_check.generic:
         raise SaddleEncounter(f"direction is non-generic: {generic_check.witness}")
-    controls = controls or TraceControls()
     m = one_form.zeros[j].order
-    local = derham.local_coordinate_series(one_form, j, max(m + 2, 16))
-    fwd = trace_ray(one_form, crit, j, ell, d, controls, local)
-    bwd = trace_ray(one_form, crit, j, (ell + 1) % (m + 1), d, controls, local)
+    fwd = trace_ray(one_form, crit, j, ell, d, controls)
+    bwd = trace_ray(one_form, crit, j, (ell + 1) % (m + 1), d, controls)
     return ThimblePath(j, ell, mpf(d), fwd, bwd)
-
-
-def thimble_cycles(one_form, crit, j, d, controls=None):
-    """Discrete-Fourier combinations of the traced thimbles at zero j."""
-    m = one_form.zeros[j].order
-    paths = [trace_thimble(one_form, crit, j, ell, d, controls)
-             for ell in range(m + 1)]
-    weights = dft_weights(m)
-    return [Cycle.combine(weights[k], paths, mpf(d)) for k in range(m)]

@@ -7,6 +7,8 @@ coordinate u with form = u^m du is built at every zero, and global
 the deformation parameter z.
 """
 
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,6 +52,22 @@ def poly_eval(p, x):
 
 def poly_derivative(p):
     return [n * c for n, c in enumerate(p)][1:] or [mpc(0)]
+
+
+def poly_quotient(p, q):
+    """Polynomial part of p/q (long division, remainder discarded)."""
+    rem = list(poly_trim(p))
+    q = poly_trim(q)
+    dq = len(q) - 1
+    if len(rem) - 1 < dq:
+        return [mpc(0)]
+    quot = [mpc(0)] * (len(rem) - dq)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dq] / q[-1]
+        quot[k] = c
+        for i, qc in enumerate(q):
+            rem[k + i] -= c * qc
+    return quot
 
 
 def poly_mul(p, q):
@@ -199,7 +217,7 @@ class RationalForm:
             raise ValueError("denominator is identically zero")
 
     def __call__(self, x):
-        return poly_eval(list(self.P), x) / poly_eval(list(self.Q), x)
+        return poly_eval(self.P, x) / poly_eval(self.Q, x)
 
     def at_infinity(self):
         """The same form in the chart v = 1/x (dx = -dv/v^2)."""
@@ -382,6 +400,60 @@ def analyze(p_coeffs, q_coeffs):
 
 
 # ---------------------------------------------------------------------------
+# closed-form primitive
+# ---------------------------------------------------------------------------
+
+class Primitive:
+    """Primitive F of P/Q dx from its partial fractions.
+
+    P/Q = quotient + sum over finite poles p of sum_k a_{p,k} (x - p)^-k,
+    so F = int quotient + sum_p [a_{p,1} log(x - p)
+    + sum_{k>=2} a_{p,k} (x - p)^(1-k)/(1-k)].  Only increments are
+    exposed: each log term enters as a_{p,1} log((b - p)/(a - p)) on the
+    principal branch.  That is F continued along the straight segment
+    from a to b, and along any path near it, such as a traced step,
+    which stays within 1/5 of the distance to every special point.
+    Points are affine coordinates x, also where a path is traced in the
+    chart 1/x.
+    """
+
+    def __init__(self, one_form):
+        form = one_form.form
+        quot = poly_quotient(form.P, form.Q)
+        self._poly = [mpc(0)] + [c / (k + 1) for k, c in enumerate(quot)]
+        # (p, a_{p,1}, [0, a_{p,2}/(-1), a_{p,3}/(-2), ...]) per finite pole;
+        # the last list holds the rational part as a polynomial in 1/(x - p)
+        self.poles = []
+        for pole in one_form.poles:
+            if pole.location == INF:
+                continue
+            p = to_mpc(pole.location)
+            n, series = _laurent_series(form, p, order_hint=0)
+            principal = [mpc(0)] + [series[n - k] / (1 - k) for k in range(2, n + 1)]
+            self.poles.append((p, series[n - 1], principal))
+
+    def rational(self, x):
+        """F without its log terms."""
+        acc = poly_eval(self._poly, x)
+        for p, _, principal in self.poles:
+            if len(principal) > 1:
+                acc += poly_eval(principal, 1 / (x - p))
+        return acc
+
+    def log_increment(self, a, b, skip=None):
+        """Sum of a_{p,1} log((b - p)/(a - p)), leaving out pole `skip`."""
+        acc = mpc(0)
+        for i, (p, res, _) in enumerate(self.poles):
+            if i != skip and res != 0:
+                acc += res * mpmath.log((b - p) / (a - p))
+        return acc
+
+    def increment(self, a, b):
+        """F(b) - F(a) along a short path from a to b."""
+        return self.rational(b) - self.rational(a) + self.log_increment(a, b)
+
+
+# ---------------------------------------------------------------------------
 # period lattice
 # ---------------------------------------------------------------------------
 
@@ -473,6 +545,11 @@ def period_lattice(one_form, weights=None):
     while relations:
         periods = _reduce_by_relation(periods, relations[0])
         relations = _integer_relations(periods) if len(periods) >= 2 else []
+    if len(periods) > 2:
+        # checked before the support radius, whose search grows like 49^rank
+        raise DegenerateLattice(
+            f"{len(periods)} periods independent over Z: no subgroup of C "
+            f"of rank > 2 is discrete")
     lat = Lattice(tuple(periods), weights)
     if lat.rank:
         rep = support_radius(lat)  # raises DegenerateLattice on exact failure
@@ -583,6 +660,29 @@ def critical_values(one_form, basepoint, branch_paths, lat=None, offset=0):
 # distinguished local coordinates at zeros
 # ---------------------------------------------------------------------------
 
+def _value_memo(fn):
+    """Memoize fn by the values of its arguments and the working precision.
+
+    The arguments are hashable values (frozen dataclasses, tuples,
+    numbers), so equal inputs share one result whatever ran before, and
+    the cache holds its keys, so no key can alias a dead object.  The
+    cache is the wrapper's `cache` attribute, read at every call.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (tuple(bound.arguments.values()), mp.prec)
+        out = memoized.cache.get(key)
+        if out is None:
+            out = memoized.cache[key] = fn(*args, **kwargs)
+        return out
+    memoized.cache = {}
+    return memoized
+
+
 @dataclass(frozen=True)
 class LocalCoordinate:
     """Coordinate u at a zero with form = u^m du, plus the inverse series.
@@ -599,20 +699,26 @@ class LocalCoordinate:
     u_of_w: GevreySeries
     x_of_u: GevreySeries
     residual: object
+    dx_of_u: GevreySeries = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dx_of_u", self.x_of_u.derivative())
 
     def point(self, u):
         """Chart coordinate of the point with local parameter u."""
         return self.center + self.x_of_u(u)
 
     def dpoint(self, u):
-        return self.x_of_u.derivative()(u)
+        return self.dx_of_u(u)
 
 
+@_value_memo
 def local_coordinate_series(one_form, j, order, branch=0):
     """Solve u^(m+1)/(m+1) = primitive of the form at the j-th zero.
 
     The primitive's Taylor series at the zero has valuation m+1; its
     (m+1)-st root (deterministic branch) gives u(w), inverted to w(u).
+    Memoized by value: every ray and direction at one zero shares it.
     """
     zero = one_form.zeros[j]
     m = zero.order
@@ -732,20 +838,15 @@ def reduction_series_bruteforce(g_coeffs, m, order):
     return out
 
 
-_formal_cache = {}
-
-
+@_value_memo
 def formal_comparison(omega, one_form, j, order, local=None):
     """Reduce a global form to the local basis at zero j, as z-series.
 
     `omega` is a RationalForm holomorphic at the zero.  Its pullback
     g(u) du through the distinguished coordinate is computed by series
     composition, then reduced by `reduction_series`.  Returns the list
-    of m series (basis classes u^k du, k = 0..m-1).
+    of m series (basis classes u^k du, k = 0..m-1).  Memoized by value.
     """
-    key = (id(one_form), omega, j, order, mp.prec) if local is None else None
-    if key is not None and key in _formal_cache:
-        return _formal_cache[key]
     zero = one_form.zeros[j]
     m = zero.order
     if local is None:
@@ -757,11 +858,8 @@ def formal_comparison(omega, one_form, j, order, local=None):
         raise ValueError("omega must be holomorphic at the zero")
     om = GevreySeries(tuple(om_series[: local.x_of_u.trunc_order + 1]))
     comp = gevrey.compose(om, local.x_of_u)
-    g_u = gevrey.mul(comp, local.x_of_u.derivative())
-    out = reduction_series(g_u.coeffs, m, order)
-    if key is not None:
-        _formal_cache[key] = out
-    return out
+    g_u = gevrey.mul(comp, local.dx_of_u)
+    return reduction_series(g_u.coeffs, m, order)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,20 @@ def nth_root(a, n, branch=0):
     return GevreySeries(tuple(shifted[: rest_order + v // n + 1]))
 
 
+def _newton_orders(n):
+    """Ascending orders n_1 < ... < n of a Newton ladder, planned from the top.
+
+    Each order is ceil(next/2), which one Newton step carries to `next`
+    (a step from order k is good through 2k + 1), so no step runs past
+    what the following one needs.
+    """
+    orders = []
+    while n > 1:
+        orders.append(n)
+        n = (n + 1) // 2
+    return orders[::-1]
+
+
 def reversion(a):
     """Compositional inverse of a series with a_0 = 0, a_1 != 0.
 
@@ -268,9 +282,7 @@ def reversion(a):
     n = a.trunc_order
     da = a.derivative()
     w = [mpc(0), 1 / a.coeffs[1]]
-    order = 1
-    while order < n:
-        order = min(2 * order + 1, n)
+    for order in _newton_orders(n):
         wt = GevreySeries(tuple(w) + (mpc(0),) * (order + 1 - len(w)))
         at = a.truncate(order)
         comp = compose(at, wt)

@@ -1,8 +1,12 @@
 """Exponential period integrals, sectorial matrices, and Stokes factors.
 
 The contour integral of exp(-f/z) * omega over a traced thimble is
-evaluated from a z-independent quadrature node table (position, running
-primitive, weight), so one trace serves a whole z grid.  Sectorial
+evaluated from z-independent quadrature nodes (position, primitive,
+weight) laid once per ray: along the sampled flow line, along the
+straightened tail into a simple pole, and across the local-coordinate
+gap at the zero.  f at the nodes comes from the ray's closed-form
+primitive (`derham.Primitive`), and the values of omega are kept per
+node, so one trace serves a whole z grid at one exp per node.  Sectorial
 matrices collect the normalized integrals over the discrete-Fourier
 cycles; Stokes factors are least-squares fits of matrix transition data
 over the exponential dictionary supplied by the period lattice.
@@ -27,12 +31,21 @@ from .scalar import legendre_nodes, to_mpc
 # ---------------------------------------------------------------------------
 
 class _RayTable:
-    """z-independent nodes (x, f, w) along one traced ray.
+    """z-independent data of the contour integral along one traced ray.
 
-    w includes the Gauss-Legendre weight and the complex chord element,
+    Nodes (x, f, w, in_infinity_chart) lie on the sampled polyline: w
+    includes the Gauss-Legendre weight and the complex chord element,
     so sum w * omega(x) * exp(-f/z) is the contour integral over the
     sampled part of the ray.  Chunks are cut to a fixed span of the
     primitive so the exponential stays resolved down to df_max ~ |z|.
+    f at each node is the ray's closed-form primitive, chained from node
+    to node; `drift` is the largest gap between that chain, closed at
+    the end of a sample interval, and the traced f there.
+
+    Per omega the table keeps the weighted values w * omega(x) of the
+    polyline nodes, of the straightened tail into a simple pole, and of
+    the local-coordinate gap from the zero to the seed point, each
+    computed once per node.  A z then costs one exp per node.
     """
 
     def __init__(self, ray, df_max, n_nodes=10):
@@ -40,87 +53,56 @@ class _RayTable:
         self.df_max = mpf(df_max)
         self.n_nodes = n_nodes
         self.nodes = []          # (x, f, w, in_infinity_chart)
+        self.drift = mpf(0)
         self._consumed = 1       # ray.samples[0] is the seed
-        self._omega_cache = {}
+        self._weighted = {}      # omega -> [w * omega(x)] over nodes
         self.tail_nodes = []     # (x, f, w) along the straightened pole segment
         self.tail_tau = mpf(0)
-        self._tail_f = None      # running primitive at the tail frontier
-        self._tail_omega_cache = {}
+        self._tail_weighted = {}
+        self._seed_gap = {}      # omega -> ([f], [w * omega * x'(u)])
         self._ingest()
 
     # walk newly appended samples and lay quadrature nodes
     def _ingest(self):
         samples = self.ray.samples
-        of = self.ray.one_form
-        switch = getattr(self.ray, "_switch_radius")
+        prim = self.ray.primitive
+        switch = self.ray._switch_radius
         while self._consumed < len(samples):
             s0, x0, f0 = samples[self._consumed - 1]
             s1, x1, f1 = samples[self._consumed]
             self._consumed += 1
-            span = abs(f1 - f0)
-            pieces = max(1, int(mpmath.ceil(span / self.df_max)))
+            pieces = max(1, int(mpmath.ceil(abs(f1 - f0) / self.df_max)))
             use_inf = abs(x0) > switch and abs(x1) > switch
-            if use_inf:
-                a_pt, b_pt = 1 / x0, 1 / x1
-                form = of.form.at_infinity()
-            else:
-                a_pt, b_pt = x0, x1
-                form = of.form
-            f_run = f0
+            a_pt, b_pt = (1 / x0, 1 / x1) if use_inf else (x0, x1)
+            f_run, prev, r_prev = f0, x0, prim.rational(x0)
             for p in range(pieces):
                 pa = a_pt + (b_pt - a_pt) * mpf(p) / pieces
                 pb = a_pt + (b_pt - a_pt) * mpf(p + 1) / pieces
                 half = (pb - pa) / 2
                 mid = (pa + pb) / 2
-                prev = pa
                 for xg, wg in legendre_nodes(self.n_nodes):
                     node = mid + half * xg
-                    f_run = f_run + _gl_increment(form, prev, node, n=4)
-                    prev = node
-                    x_store = 1 / node if use_inf else node
-                    self.nodes.append((x_store, f_run, wg * half, use_inf))
-                # close the piece so the running primitive stays consistent
-                f_run = f_run + _gl_increment(form, prev, pb, n=4)
-            # the contour integral uses the table's own running primitive;
-            # the traced f1 only cross-checks it
-            self.drift = abs(f_run - f1)
+                    x_here = 1 / node if use_inf else node
+                    r_here = prim.rational(x_here)
+                    f_run += r_here - r_prev + prim.log_increment(prev, x_here)
+                    prev, r_prev = x_here, r_here
+                    self.nodes.append((x_here, f_run, wg * half, use_inf))
+            f_end = f_run + prim.rational(x1) - r_prev + prim.log_increment(prev, x1)
+            self.drift = max(self.drift, abs(f_end - f1))
 
-    def omega_values(self, omega):
-        vals = self._omega_cache.get(omega)
-        if vals is None or len(vals) < len(self.nodes):
-            form_aff = omega
+    def weighted_values(self, omega):
+        """w * omega(x) at every node, each node evaluated once."""
+        vals = self._weighted.setdefault(omega, [])
+        if len(vals) < len(self.nodes):
             form_inf = omega.at_infinity()
-            vals = []
-            for x, f, w, use_inf in self.nodes:
-                if use_inf:
-                    vals.append(form_inf(1 / x))
-                else:
-                    vals.append(form_aff(x))
-            self._omega_cache[omega] = vals
+            for x, f, w, use_inf in self.nodes[len(vals):]:
+                vals.append(w * (form_inf(1 / x) if use_inf else omega(x)))
         return vals
 
     def integral(self, omega, z, stop_decay=None):
-        """sum over nodes of w * omega * exp(-f/z), in the right chart.
-
-        The running primitive grows monotonically along the ray, so once
-        Re(f/z) exceeds `stop_decay` the remaining nodes are negligible
-        and the loop ends early.
-        """
-        z = to_mpc(z)
-        vals = self.omega_values(omega)
-        total = mpc(0)
-        inv_sq = 1 / (z.real * z.real + z.imag * z.imag)
-        deep = 0
-        for (x, f, w, use_inf), g in zip(self.nodes, vals):
-            if stop_decay is not None:
-                re_fz = (f.real * z.real + f.imag * z.imag) * inv_sq
-                if re_fz > stop_decay:
-                    deep += 1
-                    if deep > 3:
-                        break
-                    continue
-            total += w * g * mpmath.exp(-f / z)
-        return total
+        """sum over nodes of w * omega * exp(-f/z), in the right chart."""
+        return _exp_sum((f for _, f, _, _ in self.nodes),
+                        self.weighted_values(omega), z, stop_decay)
 
     # -- straightened tail into a simple pole, log-parametrized --
 
@@ -128,66 +110,78 @@ class _RayTable:
         term = self.ray.terminal
         if term is None or term.pole_order != 1:
             return
-        pole = self.ray._poles[term.pole_index]
-        p = to_mpc(pole.location)
-        x0 = to_mpc(term.capture_point) - p
-        form = self.ray.one_form.form
-        if self._tail_f is None:
-            self._tail_f = to_mpc(term.f_capture)
+        prim = self.ray.primitive
+        p = to_mpc(self.ray._poles[term.pole_index].location)
+        k = next(i for i, pole in enumerate(prim.poles) if pole[0] == p)
+        residue = prim.poles[k][1]
+        x_cap = to_mpc(term.capture_point)
+        x0 = x_cap - p
+        f_cap = to_mpc(term.f_capture) - prim.rational(x_cap)
         while self.tail_tau < tau_max:
             a = self.tail_tau
             b = a + 1 / mpf(panels_per_unit)
             mid, half = (a + b) / 2, (b - a) / 2
-            prev = a
-            f_run = self._tail_f
             for xg, wg in legendre_nodes(n_nodes):
                 tau = mid + half * xg
-                f_run = f_run + _gl_increment_tau(form, p, x0, prev, tau, n=4)
-                prev = tau
-                x_here = p + x0 * mpmath.exp(-tau)
-                w = wg * half * (-x0 * mpmath.exp(-tau))
-                self.tail_nodes.append((x_here, f_run, w))
-            self._tail_f = f_run + _gl_increment_tau(form, p, x0, prev, b, n=4)
+                dx = x0 * mpmath.exp(-tau)
+                x_here = p + dx
+                # along x = p + x0 exp(-tau) the pole's own log term is
+                # exactly -residue * tau
+                f = (f_cap + prim.rational(x_here) - residue * tau
+                     + prim.log_increment(x_cap, x_here, skip=k))
+                self.tail_nodes.append((x_here, f, -wg * half * dx))
             self.tail_tau = b
 
     def tail_integral(self, omega, z, stop_decay=None):
-        vals = self._tail_omega_cache.get(omega)
-        if vals is None or len(vals) < len(self.tail_nodes):
-            vals = [omega(x) for x, _, _ in self.tail_nodes]
-            self._tail_omega_cache[omega] = vals
-        z = to_mpc(z)
-        total = mpc(0)
-        inv_sq = 1 / (z.real * z.real + z.imag * z.imag)
-        deep = 0
-        for (x, f, w), g in zip(self.tail_nodes, vals):
-            if stop_decay is not None:
-                re_fz = (f.real * z.real + f.imag * z.imag) * inv_sq
-                if re_fz > stop_decay:
-                    deep += 1
-                    if deep > 3:
-                        break
-                    continue
-            total += w * g * mpmath.exp(-f / z)
-        return total
+        vals = self._tail_weighted.setdefault(omega, [])
+        for x, _, w in self.tail_nodes[len(vals):]:
+            vals.append(w * omega(x))
+        return _exp_sum((f for _, f, _ in self.tail_nodes), vals, z, stop_decay)
 
-    def tail_frontier(self):
-        """(tau, x, f) at the far end of the laid tail."""
-        if not self.tail_nodes:
-            return None
-        x, f, _ = self.tail_nodes[-1]
-        return self.tail_tau, x, f
+    # -- from the zero to the seed point, in the local coordinate --
 
-    def end_state(self):
-        s, x, f = self.ray.samples[-1]
-        return x, f
+    def seed_gap(self, omega, n_panels=3, n_nodes=16):
+        """([f], [weight * omega(x(u)) x'(u)]) over the gap to the seed."""
+        out = self._seed_gap.get(omega)
+        if out is None:
+            ray = self.ray
+            local = ray.local
+            m = ray.one_form.zeros[ray.j].order
+            c = ray.crit.values[ray.j]
+            omega_chart = omega.in_chart(local.chart)
+            u_end = ray.u_seed
+            out = self._seed_gap[omega] = ([], [])
+            for p in range(n_panels):
+                a = u_end * mpf(p) / n_panels
+                b = u_end * mpf(p + 1) / n_panels
+                mid, half = (a + b) / 2, (b - a) / 2
+                for xg, wg in legendre_nodes(n_nodes):
+                    u = mid + half * xg
+                    out[0].append(c + u ** (m + 1) / (m + 1))
+                    out[1].append(wg * half * omega_chart(local.point(u))
+                                  * local.dpoint(u))
+        return out
 
 
-def _gl_increment(form, a, b, n=6):
-    mid, half = (a + b) / 2, (b - a) / 2
-    acc = mpc(0)
-    for xg, wg in legendre_nodes(n):
-        acc += wg * form(mid + half * xg)
-    return acc * half
+def _exp_sum(fs, cs, z, stop_decay=None):
+    """sum of c * exp(-f/z) over nodes taken in flow order.
+
+    The running primitive grows monotonically along the ray, so once
+    Re(f/z) exceeds `stop_decay` the remaining nodes are negligible
+    and the loop ends early.
+    """
+    mz = -1 / to_mpc(z)
+    total = mpc(0)
+    deep = 0
+    for f, c in zip(fs, cs):
+        e = f * mz
+        if stop_decay is not None and -e.real > stop_decay:
+            deep += 1
+            if deep > 3:
+                break
+            continue
+        total += c * mpmath.exp(e)
+    return total
 
 
 _table_cache = {}
@@ -207,28 +201,6 @@ def _ray_table(ray, df_max, n_nodes=12):
 # ---------------------------------------------------------------------------
 # the three-part contour integral over one ray
 # ---------------------------------------------------------------------------
-
-def _seed_gap_integral(ray, omega, z, n_panels=3, n_nodes=16):
-    """Integral from the zero to the seed point, in the local coordinate."""
-    local = ray.local
-    m = ray.one_form.zeros[ray.j].order
-    c = ray.crit.values[ray.j]
-    z = to_mpc(z)
-    omega_chart = omega.in_chart(local.chart)
-    u_end = ray.u_seed
-    total = mpc(0)
-    for p in range(n_panels):
-        a = u_end * mpf(p) / n_panels
-        b = u_end * mpf(p + 1) / n_panels
-        mid, half = (a + b) / 2, (b - a) / 2
-        for xg, wg in legendre_nodes(n_nodes):
-            u = mid + half * xg
-            x_pt = local.point(u)
-            g = omega_chart(x_pt) * local.dpoint(u)
-            f = c + u ** (m + 1) / (m + 1)
-            total += wg * half * g * mpmath.exp(-f / z)
-    return total
-
 
 def _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay=None):
     """Tail along the straightened segment into a simple pole.
@@ -256,17 +228,6 @@ def _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay=None):
     tau_max = max(tau_max, mpf(4))
     table.ensure_tail(tau_max)
     return table.tail_integral(omega, z, stop_decay)
-
-
-def _gl_increment_tau(form, p, x0, tau_a, tau_b, n=6):
-    """Increment of the primitive along x = p + x0 exp(-tau)."""
-    mid, half = (tau_a + tau_b) / 2, (tau_b - tau_a) / 2
-    acc = mpc(0)
-    for xg, wg in legendre_nodes(n):
-        tau = mid + half * xg
-        x_here = p + x0 * mpmath.exp(-tau)
-        acc += wg * form(x_here) * (-x0 * mpmath.exp(-tau))
-    return acc * half
 
 
 def _quantized_df(z_abs, cap=None):
@@ -317,8 +278,7 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
         df_max = _quantized_df(abs(z), cap=mpf(1) / 16)
     table = _ray_table(ray, df_max)
     stop_decay = mpmath.log(1 / tol_abs) + 15
-    total = (_seed_gap_integral(ray, omega, z)
-             + table.integral(omega, z, stop_decay))
+    total = _exp_sum(*table.seed_gap(omega), z) + table.integral(omega, z, stop_decay)
     if term.pole_order == 1:
         total += _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay)
     return total

@@ -366,7 +366,7 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
     if len(logs) < 4:
         raise ContinuationDiverged("too few stable samples for the size fit")
     if max(x for x, _ in logs) < 10 * min(x for x, _ in logs):
-        raise ValueError("stable samples no longer cover a decade")
+        raise ContinuationDiverged("stable samples no longer cover a decade")
     # 2x2 normal equations for [log C, h]
     n = len(logs)
     sx = mpmath.fsum(x for x, _ in logs)

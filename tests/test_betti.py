@@ -7,7 +7,7 @@ from mpmath import mp, mpf, mpc
 from stokeswb import betti, derham
 from stokeswb.betti import TraceControls
 from stokeswb.derham import INF
-from stokeswb.errors import SaddleEncounter
+from stokeswb.errors import NoCapture, SaddleEncounter
 
 
 class TestLocalRays:
@@ -186,6 +186,20 @@ class TestTracing:
         path = betti.trace_thimble(form, crit, 0, 0, mpf("0.4"))
         assert path.forward_terminal is not None
         assert path.backward_terminal is not None
+
+    def test_cache_keys_on_all_controls(self, gamma_form, gamma_crit):
+        # the forward ray runs out to the pole at infinity, far beyond an
+        # arc length of 1: a trace under that budget must not be served
+        # from the default-controls trace of the same ray
+        betti.trace_ray(gamma_form, gamma_crit, 0, 0, 0)
+        with pytest.raises(NoCapture):
+            betti.trace_ray(gamma_form, gamma_crit, 0, 0, 0,
+                            controls=TraceControls(max_arc_length=1))
+
+    def test_one_local_coordinate_per_zero(self, gamma_form, gamma_crit):
+        rays = [betti.trace_ray(gamma_form, gamma_crit, 0, ell, d)
+                for ell in (0, 1) for d in (0, mpf(2))]
+        assert all(r.local is rays[0].local for r in rays)
 
     def test_csv_and_header(self, gamma_form, gamma_crit, tmp_path):
         path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)

@@ -77,6 +77,21 @@ class TestAnalyze:
             code = run_cli(["analyze", spec])
         assert code == 3
 
+    def test_rank_three_exit_3(self, tmp_path, capsys):
+        # degree 4 over the simple roots 1, i, -1.5 + 0.5i: three
+        # independent periods, a rank no discrete subgroup of C has
+        spec = tmp_path / "rank3.json"
+        spec.write_text(json.dumps({
+            "P": [["3", "1"], ["2", "0"], ["0", "0"], ["0", "-1"], ["1", "0"]],
+            "Q": [["0.5", "1.5"], ["-2", "0"], ["0.5", "-1.5"], ["1", "0"]],
+            "basepoint": ["0.5", "-0.5"],
+            "branch_paths": [],
+        }))
+        assert run_cli(["analyze", spec]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestSum:
     def euler_file(self, tmp_path, order=40):

@@ -4,7 +4,7 @@ from mpmath import mp, mpf, mpc
 
 from stokeswb import derham, gevrey
 from stokeswb.derham import INF, RationalForm
-from stokeswb.errors import (NotOneForm, PathThroughPole,
+from stokeswb.errors import (DegenerateLattice, NotOneForm, PathThroughPole,
                              RelationDetectionAmbiguous)
 
 
@@ -290,3 +290,93 @@ class TestConnection:
         crit = derham.critical_values(form, 0, [[0]], lat=lat)
         blocks = derham.elementary_connection(form, crit)
         assert blocks[0].exponents == (mpf(1) / 3, mpf(2) / 3)
+
+
+def _quad(form, points):
+    """Reference integral of the form along a polyline, by mpmath.quad."""
+    with mp.workprec(mp.prec + 32):
+        return mpmath.quad(form, [mpc(p) for p in points])
+
+
+class TestPrimitive:
+    def check_segments(self, one_form, segments, rel=mpf("1e-60")):
+        prim = derham.Primitive(one_form)
+        for a, b in segments:
+            a, b = mpc(a), mpc(b)
+            ref = _quad(one_form.form, [a, b])
+            assert abs(prim.increment(a, b) - ref) <= rel * max(abs(ref), 1)
+
+    def test_gamma_form(self, gamma_form):
+        self.check_segments(gamma_form, [(1, mpc(3, 2)), (mpc("0.5", "-0.5"), 2),
+                                         (mpc(-2, 1), mpc(-2, -1))])
+
+    def test_order_four_pole_at_infinity(self):
+        # x^2 dx: no finite pole, the primitive is the polynomial x^3/3
+        form = derham.analyze([0, 0, 1], [1])
+        self.check_segments(form, [(0, mpc(2, 1)), (-3, mpc(1, "0.5"))])
+
+    def test_double_finite_pole(self):
+        # (x^2 + i x + 1) dx / ((x - 1)^2 (x + 2)): a double pole at 1 with
+        # a nonzero residue, a simple pole at -2 and a simple pole at infinity
+        q = derham.poly_mul(derham.poly_mul([-1, 1], [-1, 1]), [2, 1])
+        form = derham.analyze([1, mpc(0, 1), 1], q)
+        assert sorted(p.order for p in form.poles) == [1, 1, 2]
+        self.check_segments(form, [(mpc(0, 1), mpc(3, 2)),
+                                   (mpc("1.2", "0.1"), mpc("0.8", "-0.3")),
+                                   (mpc(-1, -1), mpc(-3, "0.5"))])
+
+    def test_loop_in_the_inverse_chart(self, gamma_form):
+        # a traced ray steps in v = 1/x beyond the switch radius: a circle
+        # |v| = 1/50 walked in short steps is a clockwise loop |x| = 50
+        # around the pole at 0, and the chained increments must follow the
+        # log branch all the way round
+        prim = derham.Primitive(gamma_form)
+        vs = [mpf(1) / 50 * mpmath.exp(2j * mp.pi * k / 40) for k in range(41)]
+        xs = [1 / v for v in vs]
+        total = sum((prim.increment(a, b) for a, b in zip(xs[:-1], xs[1:])), mpc(0))
+        # clockwise around the residue -1 of (1 - 1/x) dx at 0
+        assert abs(total - 2j * mp.pi) < mpf("1e-60")
+        assert abs(total - _quad(gamma_form.form, xs)) < mpf("1e-60")
+
+
+class TestRankAboveTwo:
+    # degree 4 over three simple roots: a triple pole at infinity, so all
+    # three residues are periods, and they are independent over Z
+    P = [mpc(3, 1), mpc(2), mpc(0), mpc(0, -1), mpc(1)]
+    ROOTS = [mpc(1), mpc(0, 1), mpc("-1.5", "0.5")]
+
+    def test_period_lattice_raises(self):
+        q = [mpc(1)]
+        for r in self.ROOTS:
+            q = derham.poly_mul(q, [-r, 1])
+        form = derham.analyze(self.P, q)
+        assert len([p for p in form.poles if p.location != INF]) == 3
+        with pytest.raises(DegenerateLattice, match="rank > 2"):
+            derham.period_lattice(form)
+
+
+class TestValueMemo:
+    def test_equal_forms_share_results(self):
+        a = derham.analyze([-1, 1], [0, 1])
+        b = derham.analyze([-1, 1], [0, 1])
+        assert a == b and a is not b
+        omega = RationalForm((mpc(1),), (mpc(0), mpc(1)))
+        assert derham.formal_comparison(omega, a, 0, 6) is \
+            derham.formal_comparison(omega, b, 0, 6)
+        assert derham.local_coordinate_series(a, 0, 8) is \
+            derham.local_coordinate_series(b, 0, 8)
+        assert derham.local_coordinate_series(a, 0, 8) is not \
+            derham.local_coordinate_series(a, 0, 9)
+
+    def test_distinct_forms_get_their_own_series(self):
+        # a value key cannot hand one form's series to another, even when
+        # the first form is gone and its id is reused
+        omega = RationalForm((mpc(1),), (mpc(0), mpc(1)))
+        for lam in (1, 2, 3):
+            form = derham.analyze([-lam, 1], [0, 1])
+            got = derham.formal_comparison(omega, form, 0, 6)[0]
+            b = derham.stirling_exponent_series(lam, 6)
+            closed = gevrey.scale(gevrey.exp(gevrey.scale(b, -1)),
+                                  mpf(lam) ** mpf("-0.5"))
+            assert got.isclose(closed, rel=mpf("1e-40"))
+            del form

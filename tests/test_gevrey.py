@@ -77,6 +77,30 @@ class TestArithmetic:
         round_trip = gevrey.compose(a, w)
         coeffs_close(round_trip, [0, 1] + [0] * 10, rel=mpf("1e-55"))
 
+    def test_newton_ladder_planned_from_the_top(self):
+        # order 36 is the order-16 local coordinate at a simple zero
+        assert gevrey._newton_orders(36) == [2, 3, 5, 9, 18, 36]
+        assert gevrey._newton_orders(64) == [2, 4, 8, 16, 32, 64]
+        assert gevrey._newton_orders(1) == []
+
+    @pytest.mark.parametrize("n", [36, 64])
+    def test_reversion_matches_doubling_ladder(self, rng, monkeypatch, n):
+        def doubling(n):
+            # the ladder 3, 7, 15, ... capped at n
+            orders, order = [], 1
+            while order < n:
+                order = min(2 * order + 1, n)
+                orders.append(order)
+            return orders
+        coeffs = [0, mpc(1, "0.5")] + [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 4
+                                       for _ in range(n - 1)]
+        a = from_coeffs(coeffs)
+        planned = gevrey.reversion(a)
+        monkeypatch.setattr(gevrey, "_newton_orders", doubling)
+        doubled = gevrey.reversion(a)
+        assert planned.trunc_order == doubled.trunc_order == n
+        coeffs_close(planned, doubled.coeffs, rel=mpf(2) ** (-mp.prec + 32))
+
     def test_ring_axioms_random(self, rng):
         for _ in range(5):
             a, b, c = (from_coeffs([mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))

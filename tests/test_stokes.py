@@ -2,7 +2,8 @@ import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from stokeswb import betti, derham, gevrey, stokes
+from stokeswb import betti, derham, gevrey, stokes, summation
+from stokeswb.betti import TraceControls
 from stokeswb.derham import RationalForm
 from stokeswb.errors import FitResidualTooLarge, TailNotDecaying
 
@@ -63,6 +64,80 @@ class TestExpIntegral:
         with pytest.raises(TailNotDecaying):
             stokes.exp_integral(gamma_thimble, gamma_omega, gamma_crit,
                                 mpc(-0.2, 0.05))
+
+
+class TestNodeTable:
+    def test_drift_at_working_precision(self, gamma_thimble):
+        # the table's chained primitive, closed at each sample, against
+        # the traced f, on the irregular and the simple-pole ray
+        bound = mpf(2) ** (-mp.prec // 2)
+        for ray in (gamma_thimble.forward, gamma_thimble.backward):
+            table = stokes._ray_table(ray, mpf(1) / 16)
+            f_max = max(abs(f) for _, _, f in ray.samples)
+            assert table.drift <= bound * max(1, f_max)
+
+    def test_tail_follows_the_primitive(self, gamma_form, gamma_crit,
+                                        gamma_thimble):
+        ray = gamma_thimble.backward
+        assert ray.terminal.pole_order == 1
+        table = stokes._ray_table(ray, mpf(1) / 16)
+        table.ensure_tail(4)
+        x_cap, f_cap = ray.terminal.capture_point, ray.terminal.f_capture
+        for x, f, _ in (table.tail_nodes[0], table.tail_nodes[-1]):
+            with mp.workprec(mp.prec + 32):
+                ref = f_cap + mpmath.quad(gamma_form.form, [x_cap, x])
+            assert abs(f - ref) < mpf("1e-60") * abs(ref)
+
+    def test_omega_evaluated_once_per_node(self, gamma_form, gamma_crit,
+                                           gamma_omega, monkeypatch):
+        # an irregular ray extended for a later z: the table evaluates
+        # omega at the new nodes only
+        local = derham.local_coordinate_series(gamma_form, 0, 16)
+        ray = betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, local,
+                               TraceControls(flow_reach=10))
+        table = stokes._RayTable(ray, mpf(1) / 16)
+        calls = []
+        plain = RationalForm.__call__
+
+        def counted(form, x):
+            calls.append(x)
+            return plain(form, x)
+
+        def sum_at(z):
+            monkeypatch.setattr(RationalForm, "__call__", counted)
+            table.integral(gamma_omega, z)
+            monkeypatch.setattr(RationalForm, "__call__", plain)
+
+        sum_at(mpf("0.2"))
+        first = len(table.nodes)
+        ray.ensure_flow_reach(30)
+        table._ingest()
+        sum_at(mpf("0.5"))
+        assert len(table.nodes) > first
+        assert len(calls) == len(table.nodes)
+
+    def test_borel_side_never_builds_the_primitive(self, gamma_form,
+                                                   gamma_crit, gamma_omega,
+                                                   monkeypatch):
+        class Forbidden:
+            def __init__(self, *args):
+                raise AssertionError("closed-form primitive called")
+
+        monkeypatch.setattr(derham, "Primitive", Forbidden)
+        # cold caches, so the series is computed under the patch
+        monkeypatch.setattr(derham.formal_comparison, "cache", {})
+        monkeypatch.setattr(derham.local_coordinate_series, "cache", {})
+        series = derham.formal_comparison(gamma_omega, gamma_form, 0, 26)[0]
+        zs = [mpf("0.1"), mpf("0.3") * mpmath.exp(1j * mpf("0.5"))]
+        summed = summation.borel_sum(stokes._flip_z(series), 0, zs,
+                                     tail_cut=mpf("1e-10"))
+        for z, val in summed.points:
+            ref = dual_entry_closed(z)
+            assert abs(val - ref) <= mpf("1e-8") * abs(ref)
+        with pytest.raises(AssertionError):
+            betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0,
+                             derham.local_coordinate_series(gamma_form, 0, 16),
+                             TraceControls())
 
 
 class TestSectorialMatrix:

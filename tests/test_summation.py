@@ -4,7 +4,8 @@ from mpmath import mp, mpf, mpc
 
 from stokeswb import derham, gevrey, summation
 from stokeswb.errors import (ContinuationDiverged, DivergentLaplace,
-                             GrowthTooFast, NearSingularity, SingularRay)
+                             GrowthTooFast, NearSingularity, SingularRay,
+                             WorkbenchError)
 from stokeswb.gevrey import GevreySeries, UnboundedSector, from_coeffs
 from stokeswb.summation import BorelFunction, borel_sum, continue_borel, laplace
 
@@ -210,6 +211,17 @@ class TestBorelSum:
         assert len(text.splitlines()) == 3
         side = out.sidecar()
         assert side["source_hash"] == summation.series_hash(s)
+
+
+    def test_size_fit_failure_is_typed(self):
+        # the dual Stirling series of dx/x at order 24 (its Bernoulli closed
+        # form): the continuation is stable at too few radii for the size fit
+        b = derham.stirling_exponent_series(1, 24)
+        closed = gevrey.exp(gevrey.scale(b, -1))
+        dual = GevreySeries(tuple(c if n % 2 == 0 else -c
+                                  for n, c in enumerate(closed.coeffs)))
+        with pytest.raises(WorkbenchError):
+            borel_sum(dual, 0, [mpf("0.2")], tail_cut=mpf("1e-10"))
 
 
 class TestSingularityLocation:
