@@ -233,6 +233,7 @@ class ThimbleRay:
         self.controls = controls
         self.samples = []
         self.terminal = None
+        self.quadrature = None      # z-independent node data, laid by stokes
         self._state = None          # (x_chart_value, f, chart, s)
         self._form_aff = one_form.form
         self._form_inf = one_form.form.at_infinity()
@@ -300,10 +301,7 @@ class ThimbleRay:
         from .lattice import critical_differences
         lat = self.crit.lattice
         reps = self.crit.representatives
-        try:
-            diffs = critical_differences(reps, lat, radius=mpf(100))
-        except Exception:
-            diffs = []
+        diffs = critical_differences(reps, lat, radius=mpf(100))
         if diffs:
             return abs(diffs[0])
         return mpf(1)

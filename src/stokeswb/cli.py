@@ -19,9 +19,10 @@ from mpmath import mp, mpf, mpc
 
 from . import betti, derham, gevrey, lattice, stokes, summation
 from .derham import INF, RationalForm
-from .errors import (DegenerateLattice, DivergentLaplace, NotOneForm,
+from .errors import (ContinuationDiverged, DegenerateLattice, DivergentLaplace,
+                     GrowthTooFast, MalformedInput, NearSingularity, NotOneForm,
                      SingularRay, WorkbenchError)
-from .scalar import cplx_to_pair, default_precision, pair_to_cplx, to_mpc
+from .scalar import cplx_to_pair, default_precision
 
 EXIT_USAGE = 1
 EXIT_NOT_ONE_FORM = 2
@@ -29,13 +30,23 @@ EXIT_SUPPORT_FAILURE = 3
 EXIT_DIVERGENT = 4
 EXIT_INVARIANT = 5
 
+# exit code of each error type, first match wins
+EXIT_CODES = (
+    (MalformedInput, EXIT_USAGE),
+    (NotOneForm, EXIT_NOT_ONE_FORM),
+    (DegenerateLattice, EXIT_SUPPORT_FAILURE),
+    ((ContinuationDiverged, DivergentLaplace, GrowthTooFast, NearSingularity,
+      SingularRay), EXIT_DIVERGENT),
+    (WorkbenchError, EXIT_INVARIANT),
+)
+
 
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise SystemExit(_fail(EXIT_USAGE, f"cannot read {path}: {err}"))
+        raise MalformedInput(f"cannot read {path}: {err}")
 
 
 def _fail(code, message):
@@ -43,23 +54,61 @@ def _fail(code, message):
     return code
 
 
+def _real(text, what):
+    """A finite real from a decimal string."""
+    try:
+        value = mpf(text)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not mpmath.isfinite(value):
+        raise MalformedInput(f"{what}: {text!r} is not a finite number")
+    return value
+
+
 def _num(value):
     """Parse a JSON number or decimal string or [re, im] pair."""
     if isinstance(value, list):
-        return pair_to_cplx(value)
-    return mpc(mpf(str(value)))
+        if len(value) != 2:
+            raise MalformedInput(f"{value!r} is not an [re, im] pair")
+        return mpc(_real(str(value[0]), "real part"),
+                   _real(str(value[1]), "imaginary part"))
+    return mpc(_real(str(value), "number"))
+
+
+def _list_of(parse):
+    def read(values):
+        if not isinstance(values, list):
+            raise MalformedInput(f"{values!r} is not a list")
+        return [parse(v) for v in values]
+    return read
+
+
+def _spec_field(data, key, parse, default=None):
+    """parse(data[key]), or parse(default) when the key is absent or null."""
+    if not isinstance(data, dict):
+        raise MalformedInput("spec must be a JSON object")
+    value = data.get(key)
+    if value is None:
+        if default is None:
+            raise MalformedInput(f"spec has no {key!r}")
+        value = default
+    return parse(value)
 
 
 def _parse_grid(spec):
     """r_min:r_max:n_radial:n_angular[:half_opening] around the direction."""
     parts = spec.split(":")
     if len(parts) not in (4, 5):
-        raise ValueError("grid spec must be r_min:r_max:n_radial:n_angular[:opening]")
-    r_min, r_max = mpf(parts[0]), mpf(parts[1])
-    n_r, n_a = int(parts[2]), int(parts[3])
-    opening = mpf(parts[4]) if len(parts) == 5 else mpf(1)
+        raise MalformedInput(
+            f"grid spec {spec!r} must be r_min:r_max:n_radial:n_angular[:opening]")
+    r_min, r_max = _real(parts[0], "grid r_min"), _real(parts[1], "grid r_max")
+    try:
+        n_r, n_a = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise MalformedInput(f"grid spec {spec!r}: counts must be integers")
+    opening = _real(parts[4], "grid opening") if len(parts) == 5 else mpf(1)
     if not (r_min > 0 and r_max >= r_min and n_r >= 1 and n_a >= 1):
-        raise ValueError("grid spec values out of range")
+        raise MalformedInput(f"grid spec {spec!r}: values out of range")
     return r_min, r_max, n_r, n_a, opening
 
 
@@ -81,19 +130,22 @@ def _grid_points(d, spec):
 
 
 def _one_form_from_spec(data):
-    p = [_num(c) for c in data["P"]]
-    q = [_num(c) for c in data["Q"]]
+    p = _spec_field(data, "P", _list_of(_num))
+    q = _spec_field(data, "Q", _list_of(_num))
     return derham.analyze(p, q)
 
 
 def _critical_from_spec(one_form, data, lat):
-    basepoint = _num(data.get("basepoint", [1, 0]))
-    paths = data.get("branch_paths")
-    if paths is None:
-        paths = [[cplx_to_pair(z.location)] for z in one_form.zeros
-                 if z.location != INF]
-    waypoints = [[_num(w) for w in path] for path in paths]
-    offset = _num(data.get("f_offset", 0))
+    if any(z.location == INF for z in one_form.zeros):
+        raise MalformedInput("critical values at a zero at infinity need a "
+                             "chart path, which a spec cannot give")
+    basepoint = _spec_field(data, "basepoint", _num, [1, 0])
+    waypoints = _spec_field(data, "branch_paths", _list_of(_list_of(_num)),
+                            [[cplx_to_pair(z.location)] for z in one_form.zeros])
+    if len(waypoints) < len(one_form.zeros) or not all(waypoints):
+        raise MalformedInput(f"branch_paths needs a nonempty path for each of "
+                             f"the {len(one_form.zeros)} zeros")
+    offset = _spec_field(data, "f_offset", _num, 0)
     return derham.critical_values(one_form, basepoint, waypoints, lat=lat,
                                   offset=offset)
 
@@ -114,17 +166,11 @@ def _json_dump(obj):
 
 def cmd_analyze(args):
     data = _load_json(args.spec)
-    try:
-        one_form = _one_form_from_spec(data)
-    except NotOneForm as err:
-        return _fail(EXIT_NOT_ONE_FORM, str(err))
-    try:
-        lat = derham.period_lattice(one_form)
-        support = lattice.support_radius(lat) if lat.rank else None
-    except DegenerateLattice as err:
-        return _fail(EXIT_SUPPORT_FAILURE, str(err))
+    one_form = _one_form_from_spec(data)
+    lat = derham.period_lattice(one_form)
+    support = lattice.support_radius(lat) if lat.rank else None
     crit = _critical_from_spec(one_form, data, lat)
-    radius = mpf(args.radius)
+    radius = _real(args.radius, "--radius")
     nongen = lattice.nongeneric_directions(crit.representatives, lat, radius) \
         if lat.rank else []
     report = {
@@ -146,14 +192,12 @@ def cmd_sum(args):
     data = _load_json(args.series)
     try:
         series = gevrey.GevreySeries.from_json(data)
-    except (KeyError, ValueError) as err:
-        return _fail(EXIT_USAGE, f"bad series file: {err}")
-    d = mpf(args.direction)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        raise MalformedInput(f"bad series file: {err}")
+    d = _real(args.direction, "--direction")
     grid = _grid_points(d, args.grid)
-    try:
-        sampled = summation.borel_sum(series, d, grid, tail_cut=mpf(args.tolerance))
-    except (DivergentLaplace, SingularRay) as err:
-        return _fail(EXIT_DIVERGENT, str(err))
+    sampled = summation.borel_sum(series, d, grid,
+                                  tail_cut=_real(args.tolerance, "--tolerance"))
     out = args.out or "samples.csv"
     _write(out, sampled.to_csv())
     _write(out + ".json", _json_dump(sampled.sidecar()))
@@ -163,12 +207,9 @@ def cmd_sum(args):
 
 def cmd_formal_xi(args):
     data = _load_json(args.spec)
-    try:
-        one_form = _one_form_from_spec(data)
-    except NotOneForm as err:
-        return _fail(EXIT_NOT_ONE_FORM, str(err))
-    omega = RationalForm(tuple(_num(c) for c in data.get("omega_P", [1])),
-                         tuple(_num(c) for c in data.get("omega_Q", [0, 1])))
+    one_form = _one_form_from_spec(data)
+    omega = RationalForm(tuple(_spec_field(data, "omega_P", _list_of(_num), [1])),
+                         tuple(_spec_field(data, "omega_Q", _list_of(_num), [0, 1])))
     series_list = derham.formal_comparison(omega, one_form, args.zero, args.order)
     payload = [s.to_json() for s in series_list]
     out = args.out or "formal_xi.json"
@@ -179,16 +220,12 @@ def cmd_formal_xi(args):
 
 def cmd_thimble(args):
     data = _load_json(args.spec)
-    try:
-        one_form = _one_form_from_spec(data)
-        lat = derham.period_lattice(one_form)
-    except NotOneForm as err:
-        return _fail(EXIT_NOT_ONE_FORM, str(err))
-    except DegenerateLattice as err:
-        return _fail(EXIT_SUPPORT_FAILURE, str(err))
+    one_form = _one_form_from_spec(data)
+    lat = derham.period_lattice(one_form)
     crit = _critical_from_spec(one_form, data, lat)
-    d = mpf(args.direction)
-    gen = lattice.is_generic(d, crit.representatives, lat, mpf(args.radius)) \
+    d = _real(args.direction, "--direction")
+    gen = lattice.is_generic(d, crit.representatives, lat,
+                             _real(args.radius, "--radius")) \
         if lat.rank else lattice.GenericityReport(True, None)
     path = betti.trace_thimble(one_form, crit, args.zero, args.ray, d,
                                generic_check=gen)
@@ -201,15 +238,10 @@ def cmd_thimble(args):
 
 def cmd_stokes(args):
     data = _load_json(args.spec)
-    try:
-        one_form = _one_form_from_spec(data)
-        lat = derham.period_lattice(one_form)
-    except NotOneForm as err:
-        return _fail(EXIT_NOT_ONE_FORM, str(err))
-    except DegenerateLattice as err:
-        return _fail(EXIT_SUPPORT_FAILURE, str(err))
+    one_form = _one_form_from_spec(data)
+    lat = derham.period_lattice(one_form)
     crit = _critical_from_spec(one_form, data, lat)
-    d1, d2 = mpf(args.d1), mpf(args.d2)
+    d1, d2 = _real(args.d1, "--d1"), _real(args.d2, "--d2")
     lo = max(d1 - mp.pi / 2, d2 - mp.pi / 2)
     hi = min(d1 + mp.pi / 2, d2 + mp.pi / 2)
     if not hi > lo:
@@ -223,8 +255,9 @@ def cmd_stokes(args):
         for j in range(n_a):
             a = mid if n_a == 1 else mid + width * (mpf(2 * j) / (n_a - 1) - 1) * mpf("0.8")
             grid.append(r * mpmath.exp(1j * a))
-    xa = stokes.sector_matrix(one_form, crit, d1, grid, tol=mpf(args.tolerance))
-    xb = stokes.sector_matrix(one_form, crit, d2, grid, tol=mpf(args.tolerance))
+    tol = _real(args.tolerance, "--tolerance")
+    xa = stokes.sector_matrix(one_form, crit, d1, grid, tol=tol)
+    xb = stokes.sector_matrix(one_form, crit, d2, grid, tol=tol)
     factor = stokes.stokes_factor(xa, xb, lat, basis_bound=args.basis_bound)
     payload = {
         "direction_a": mpmath.nstr(d1, 25),
@@ -239,7 +272,7 @@ def cmd_stokes(args):
 
 
 def cmd_gamma_demo(args):
-    lam = mpc(mpf(str(args.lam)))
+    lam = mpc(_real(args.lam, "--lambda"))
     if lam == 0:
         return _fail(EXIT_USAGE, "lambda must be nonzero")
     outdir = args.out or "gamma_demo"
@@ -359,8 +392,15 @@ def cmd_check(args):
     return 0 if failed == 0 else EXIT_INVARIANT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line rather than the usage text."""
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stokeswb",
         description="Workbench for Borel-Laplace resummation, thimble "
                     "tracing and Stokes factors of rational 1-forms")
@@ -429,11 +469,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits with 2 on usage errors; the interface pins 1
-        if err.code not in (0, None):
-            return EXIT_USAGE
-        return 0
+    except MalformedInput as err:
+        return _fail(EXIT_USAGE, str(err))
+    except SystemExit as err:  # --help
+        return err.code or 0
     try:
         prec = args.precision if args.precision is not None else default_precision()
     except ValueError as err:
@@ -443,10 +482,9 @@ def main(argv=None):
     with mp.workprec(prec):
         try:
             return args.func(args)
-        except SystemExit as err:
-            return err.code if isinstance(err.code, int) else EXIT_USAGE
         except WorkbenchError as err:
-            return _fail(EXIT_INVARIANT, str(err))
+            code = next(code for kind, code in EXIT_CODES if isinstance(err, kind))
+            return _fail(code, str(err))
 
 
 if __name__ == "__main__":

@@ -396,12 +396,15 @@ def analyze(p_coeffs, q_coeffs):
 
     Cancels common roots, includes the point at infinity via x = 1/v,
     and checks the degree identity (zeros minus poles is -2 on genus 0).
-    Raises NotOneForm when the form has no zeros or no poles at all.
+    Raises NotOneForm when P or Q is zero, or the form has no zeros or
+    no poles.
     """
     p = poly_trim(p_coeffs)
     q = poly_trim(q_coeffs)
     if poly_deg(p) < 0:
-        raise ValueError("numerator is identically zero")
+        raise NotOneForm("numerator is identically zero")
+    if poly_deg(q) < 0:
+        raise NotOneForm("denominator is identically zero")
     p_roots = poly_roots(p)
     q_roots = poly_roots(q)
     # cancel shared roots (coprimality normalization)
@@ -645,9 +648,6 @@ class CriticalData:
     representatives: tuple       # reduced mod the period lattice, deduplicated
     offset: object               # additive normalization of the primitive
     lattice: Lattice
-
-    def value_of_zero(self, j):
-        return self.values[j]
 
 
 def _segment_integral(form, a, b, tol=None):

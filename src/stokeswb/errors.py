@@ -5,6 +5,10 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
+class MalformedInput(WorkbenchError):
+    """A spec, series file, grid or option value that cannot be read."""
+
+
 # --- formal series ---
 
 class ZeroLeadingCoefficient(WorkbenchError):

@@ -82,11 +82,6 @@ def wrap_angle(theta):
     return theta
 
 
-def angle_in_window(z, center):
-    """arg(z) represented in the window (center - pi, center + pi]."""
-    return mpf(center) + mpmath.arg(to_mpc(z) * mpmath.exp(-1j * mpf(center)))
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------

@@ -2,14 +2,22 @@
 
 The contour integral of exp(-f/z) * omega over a traced thimble is
 evaluated from z-independent quadrature nodes (position, primitive,
-weight) laid once per ray: along the sampled flow line, along the
-straightened tail into a simple pole, and across the local-coordinate
-gap at the zero.  f at the nodes comes from the ray's closed-form
-primitive (`derham.Primitive`), and the values of omega are kept per
-node, so one trace serves a whole z grid at one exp per node.  Sectorial
-matrices collect the normalized integrals over the discrete-Fourier
-cycles; Stokes factors are least-squares fits of matrix transition data
-over the exponential dictionary supplied by the period lattice.
+weight) kept on the ray: across the local-coordinate gap at the zero
+and along the straightened tail into a simple pole, once per ray, and
+along the sampled flow line, once per chord span.  f at the nodes comes
+from the ray's closed-form primitive (`derham.Primitive`), and the
+values of omega are kept per node, so one trace serves a whole z grid
+at one exp per node.
+
+A flow-line table holds only the nodes its sums read.  Its chord span
+in f is the largest power of two at which the 12-point Gauss-Legendre
+remainder for exp(-f/z) stays below 1e-6 tol (`_quantized_df`), and its
+chords are laid, and omega evaluated on them, only as far along the ray
+as a sum has read: up to where Re(f/z) passes the decay cut-off of the
+z at hand.  A later z reads on from there.  Sectorial matrices collect
+the normalized integrals over the discrete-Fourier cycles; Stokes
+factors are least-squares fits of matrix transition data over the
+exponential dictionary supplied by the period lattice.
 """
 
 from dataclasses import dataclass, field
@@ -26,12 +34,16 @@ from .lattice import ExpSum, Lattice
 from .scalar import legendre_nodes, to_mpc
 
 
+# Gauss-Legendre nodes per flow-line chunk
+_CHORD_NODES = 12
+
+
 # ---------------------------------------------------------------------------
 # quadrature node tables along traced rays
 # ---------------------------------------------------------------------------
 
 class _RayTable:
-    """z-independent data of the contour integral along one traced ray.
+    """Flow-line nodes of one traced ray at one chord span df_max.
 
     Nodes (x, f, w, in_infinity_chart) lie on the sampled polyline: w
     includes the Gauss-Legendre weight and the complex chord element,
@@ -43,19 +55,23 @@ class _RayTable:
     stays in holds no special point, so the chord integrates the same
     as the traced path (Cauchy).  A sample interval that spans more
     than df_max is cut into chunks of at most df_max, so the exponential
-    stays resolved down to df_max ~ |z|.  Chords are laid over the
-    samples present at each ingest; samples appended later start a new
-    chord.  f at each node is the ray's closed-form primitive, chained
-    from node to node; `drift` is the largest gap between that chain,
-    closed at the end of each chord, and the traced f there.
+    stays resolved to the tolerance df_max was chosen for.  f at each
+    node is the ray's closed-form primitive, chained from node to node;
+    `drift` is the largest gap between that chain, closed at the end of
+    each chord, and the traced f there.
 
-    Per omega the table keeps the weighted values w * omega(x) of the
-    polyline nodes, of the straightened tail into a simple pole, and of
-    the local-coordinate gap from the zero to the seed point, each
-    computed once per node.  A z then costs one exp per node.
+    Chords are laid lazily, in flow order: `terms` lays the next chord
+    only once a sum has read every node laid so far, and omega is
+    evaluated once per laid node.  The table therefore ends with the
+    chord in which the furthest sum stopped at its decay cut-off (see
+    `_exp_sum`), and the chords are a prefix of the greedy sequence over
+    the whole ray, so every sum is bit-identical to one over a table
+    laid to the end of the ray.  Samples appended by a later extension
+    of the ray are laid when a sum reaches them; a chord laid up to the
+    old end stays as it was.
     """
 
-    def __init__(self, ray, df_max, n_nodes=10):
+    def __init__(self, ray, df_max, n_nodes=_CHORD_NODES):
         self.ray = ray
         self.df_max = mpf(df_max)
         self.n_nodes = n_nodes
@@ -63,71 +79,124 @@ class _RayTable:
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
         self._consumed = 1       # ray.samples[0] is the seed
-        self._weighted = {}      # omega -> [w * omega(x)] over nodes
-        self.tail_nodes = []     # (x, f, w) along the straightened pole segment
-        self.tail_tau = mpf(0)
-        self._tail_weighted = {}
-        self._seed_gap = {}      # omega -> ([f], [w * omega * x'(u)])
-        self._ingest()
+        self._weighted = {}      # omega -> [w * omega(x)] over laid nodes
 
-    # walk newly appended samples and lay quadrature nodes
-    def _ingest(self):
+    def lay_chord(self):
+        """Lay the next chord greedily; False once every sample is covered."""
         samples = self.ray.samples
+        if self._consumed >= len(samples):
+            return False
         prim = self.ray.primitive
         switch = self.ray._switch_radius
 
         def in_inf(i):
             return abs(samples[i][1]) > switch and abs(samples[i + 1][1]) > switch
 
-        while self._consumed < len(samples):
-            start = self._consumed - 1
-            _, x0, f0 = samples[start]
-            use_inf = in_inf(start)
-            a_pt = 1 / x0 if use_inf else x0
-            cap = self.ray._step_cap(INF if use_inf else "affine", a_pt)
-            if use_inf:
-                cap = min(cap, abs(a_pt) / 5)
-            end = start + 1
-            while end + 1 < len(samples) and in_inf(end) == use_inf:
-                _, x_next, f_next = samples[end + 1]
-                b_next = 1 / x_next if use_inf else x_next
-                if abs(f_next - f0) > self.df_max or abs(b_next - a_pt) > cap:
-                    break
-                end += 1
-            self._consumed = end + 1
-            self.chords.append((start, end))
-            _, x1, f1 = samples[end]
-            b_pt = 1 / x1 if use_inf else x1
-            pieces = max(1, int(mpmath.ceil(abs(f1 - f0) / self.df_max)))
-            f_run, prev, r_prev = f0, x0, prim.rational(x0)
-            for p in range(pieces):
-                pa = a_pt + (b_pt - a_pt) * mpf(p) / pieces
-                pb = a_pt + (b_pt - a_pt) * mpf(p + 1) / pieces
-                half = (pb - pa) / 2
-                mid = (pa + pb) / 2
-                for xg, wg in legendre_nodes(self.n_nodes):
-                    node = mid + half * xg
-                    x_here = 1 / node if use_inf else node
-                    r_here = prim.rational(x_here)
-                    f_run += r_here - r_prev + prim.log_increment(prev, x_here)
-                    prev, r_prev = x_here, r_here
-                    self.nodes.append((x_here, f_run, wg * half, use_inf))
-            f_end = f_run + prim.rational(x1) - r_prev + prim.log_increment(prev, x1)
-            self.drift = max(self.drift, abs(f_end - f1))
+        start = self._consumed - 1
+        _, x0, f0 = samples[start]
+        use_inf = in_inf(start)
+        a_pt = 1 / x0 if use_inf else x0
+        cap = self.ray._step_cap(INF if use_inf else "affine", a_pt)
+        if use_inf:
+            cap = min(cap, abs(a_pt) / 5)
+        end = start + 1
+        while end + 1 < len(samples) and in_inf(end) == use_inf:
+            _, x_next, f_next = samples[end + 1]
+            b_next = 1 / x_next if use_inf else x_next
+            if abs(f_next - f0) > self.df_max or abs(b_next - a_pt) > cap:
+                break
+            end += 1
+        self._consumed = end + 1
+        self.chords.append((start, end))
+        _, x1, f1 = samples[end]
+        b_pt = 1 / x1 if use_inf else x1
+        pieces = max(1, int(mpmath.ceil(abs(f1 - f0) / self.df_max)))
+        f_run, prev, r_prev = f0, x0, prim.rational(x0)
+        for p in range(pieces):
+            pa = a_pt + (b_pt - a_pt) * mpf(p) / pieces
+            pb = a_pt + (b_pt - a_pt) * mpf(p + 1) / pieces
+            half = (pb - pa) / 2
+            mid = (pa + pb) / 2
+            for xg, wg in legendre_nodes(self.n_nodes):
+                node = mid + half * xg
+                x_here = 1 / node if use_inf else node
+                r_here = prim.rational(x_here)
+                f_run += r_here - r_prev + prim.log_increment(prev, x_here)
+                prev, r_prev = x_here, r_here
+                self.nodes.append((x_here, f_run, wg * half, use_inf))
+        f_end = f_run + prim.rational(x1) - r_prev + prim.log_increment(prev, x1)
+        self.drift = max(self.drift, abs(f_end - f1))
+        return True
 
-    def weighted_values(self, omega):
-        """w * omega(x) at every node, each node evaluated once."""
+    def terms(self, omega):
+        """(f, w * omega(x)) over the nodes in flow order, laid as they are read."""
         vals = self._weighted.setdefault(omega, [])
-        if len(vals) < len(self.nodes):
-            form_inf = omega.at_infinity()
-            for x, f, w, use_inf in self.nodes[len(vals):]:
-                vals.append(w * (form_inf(1 / x) if use_inf else omega(x)))
-        return vals
+        i = 0
+        while i < len(self.nodes) or self.lay_chord():
+            if i == len(vals):
+                form_inf = omega.at_infinity()
+                vals.extend(w * (form_inf(1 / x) if use_inf else omega(x))
+                            for x, _, w, use_inf in self.nodes[i:])
+            yield self.nodes[i][1], vals[i]
+            i += 1
 
     def integral(self, omega, z, stop_decay=None):
         """sum over nodes of w * omega * exp(-f/z), in the right chart."""
-        return _exp_sum((f for _, f, _, _ in self.nodes),
-                        self.weighted_values(omega), z, stop_decay)
+        return _exp_sum(self.terms(omega), z, stop_decay)
+
+
+class _RayQuadrature:
+    """z-independent quadrature data of one traced ray, kept on the ray.
+
+    The local-coordinate gap from the zero to the seed point and the
+    straightened tail into a simple pole do not depend on the chord
+    span, so one set per omega serves every flow-line table of the ray.
+    The tables are keyed by (df_max, nodes per chunk).
+    """
+
+    def __init__(self, ray):
+        self.ray = ray
+        self.tables = {}
+        self._seed_gap = {}      # omega -> [(f, weight * omega * x'(u))]
+        self.tail_nodes = []     # (x, f, w) along the straightened pole segment
+        self.tail_tau = mpf(0)
+        self._tail_weighted = {}
+
+    @classmethod
+    def of(cls, ray):
+        if ray.quadrature is None:
+            ray.quadrature = cls(ray)
+        return ray.quadrature
+
+    def table(self, df_max, n_nodes=_CHORD_NODES):
+        key = (mpf(df_max), n_nodes)
+        if key not in self.tables:
+            self.tables[key] = _RayTable(self.ray, df_max, n_nodes)
+        return self.tables[key]
+
+    # -- from the zero to the seed point, in the local coordinate --
+
+    def seed_gap(self, omega, n_panels=3, n_nodes=16):
+        """[(f, weight * omega(x(u)) x'(u))] over the gap to the seed."""
+        out = self._seed_gap.get(omega)
+        if out is None:
+            ray = self.ray
+            local = ray.local
+            m = ray.one_form.zeros[ray.j].order
+            c = ray.crit.values[ray.j]
+            omega_chart = omega.in_chart(local.chart)
+            u_end = ray.u_seed
+            out = self._seed_gap[omega] = []
+            for p in range(n_panels):
+                a = u_end * mpf(p) / n_panels
+                b = u_end * mpf(p + 1) / n_panels
+                mid, half = (a + b) / 2, (b - a) / 2
+                for xg, wg in legendre_nodes(n_nodes):
+                    u = mid + half * xg
+                    out.append((c + u ** (m + 1) / (m + 1),
+                                wg * half * omega_chart(local.point(u))
+                                * local.dpoint(u)))
+        return out
 
     # -- straightened tail into a simple pole, log-parametrized --
 
@@ -161,35 +230,12 @@ class _RayTable:
         vals = self._tail_weighted.setdefault(omega, [])
         for x, _, w in self.tail_nodes[len(vals):]:
             vals.append(w * omega(x))
-        return _exp_sum((f for _, f, _ in self.tail_nodes), vals, z, stop_decay)
-
-    # -- from the zero to the seed point, in the local coordinate --
-
-    def seed_gap(self, omega, n_panels=3, n_nodes=16):
-        """([f], [weight * omega(x(u)) x'(u)]) over the gap to the seed."""
-        out = self._seed_gap.get(omega)
-        if out is None:
-            ray = self.ray
-            local = ray.local
-            m = ray.one_form.zeros[ray.j].order
-            c = ray.crit.values[ray.j]
-            omega_chart = omega.in_chart(local.chart)
-            u_end = ray.u_seed
-            out = self._seed_gap[omega] = ([], [])
-            for p in range(n_panels):
-                a = u_end * mpf(p) / n_panels
-                b = u_end * mpf(p + 1) / n_panels
-                mid, half = (a + b) / 2, (b - a) / 2
-                for xg, wg in legendre_nodes(n_nodes):
-                    u = mid + half * xg
-                    out[0].append(c + u ** (m + 1) / (m + 1))
-                    out[1].append(wg * half * omega_chart(local.point(u))
-                                  * local.dpoint(u))
-        return out
+        return _exp_sum(zip((f for _, f, _ in self.tail_nodes), vals),
+                        z, stop_decay)
 
 
-def _exp_sum(fs, cs, z, stop_decay=None):
-    """sum of c * exp(-f/z) over nodes taken in flow order.
+def _exp_sum(terms, z, stop_decay=None):
+    """sum of c * exp(-f/z) over (f, c) pairs taken in flow order.
 
     The running primitive grows monotonically along the ray, so once
     Re(f/z) exceeds `stop_decay` the remaining nodes are negligible
@@ -198,7 +244,7 @@ def _exp_sum(fs, cs, z, stop_decay=None):
     mz = -1 / to_mpc(z)
     total = mpc(0)
     deep = 0
-    for f, c in zip(fs, cs):
+    for f, c in terms:
         e = f * mz
         if stop_decay is not None and -e.real > stop_decay:
             deep += 1
@@ -209,31 +255,17 @@ def _exp_sum(fs, cs, z, stop_decay=None):
     return total
 
 
-_table_cache = {}
-
-
-def _ray_table(ray, df_max, n_nodes=12):
-    key = (id(ray), mpmath.nstr(mpf(df_max), 8), n_nodes)
-    table = _table_cache.get(key)
-    if table is None:
-        table = _RayTable(ray, df_max, n_nodes)
-        _table_cache[key] = table
-    else:
-        table._ingest()
-    return table
-
-
 # ---------------------------------------------------------------------------
 # the three-part contour integral over one ray
 # ---------------------------------------------------------------------------
 
-def _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay=None):
+def _simple_pole_tail(ray, omega, z, tol_abs, stop_decay=None):
     """Tail along the straightened segment into a simple pole.
 
     Parametrized by x = p + x0 * exp(-tau); the primitive increment per
     unit tau tends to -residue, so the integrand decays at rate
     -Re(residue/z) minus the pole order of omega at p (if any).  The
-    nodes are z-independent and cached on the ray table.
+    nodes are z-independent and kept once per ray.
     """
     term = ray.terminal
     pole = ray._poles[term.pole_index]
@@ -251,30 +283,54 @@ def _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay=None):
     g0 = abs(omega(p + x0)) * abs(x0)
     tau_max = (mpmath.log(max(g0, mpf("1e-30")) / tol_abs) + 5) / rate
     tau_max = max(tau_max, mpf(4))
-    table.ensure_tail(tau_max)
-    return table.tail_integral(omega, z, stop_decay)
+    quad = _RayQuadrature.of(ray)
+    quad.ensure_tail(tau_max)
+    return quad.tail_integral(omega, z, stop_decay)
 
 
-def _quantized_df(z_abs, cap=None):
-    """Power-of-two node resolution so z grids share one table.
+def _quantized_df(z_abs, tol):
+    """Chord span in f: the largest power of two resolved to tol at |z|.
 
-    Per-z defaults are capped at 1/16 so stand-alone evaluations across
-    moderate |z| all hit the same table; grid-wide callers pass no cap.
+    The n-point Gauss-Legendre remainder for exp(-f/z) over a span L in
+    f, relative to the integrand, is (L/|z|)^(2n) (n!)^4 / ((2n+1)
+    ((2n)!)^3); for the 12 nodes of a chunk that is about 8.8e-39
+    (L/|z|)^24.  The span keeps it at most 1e-6 tol.  The margin is for
+    `stokes_factor`, whose fits amplify the quadrature error of the
+    entries: on the grid of acceptance criterion 3 (|z| = 0.3, tol
+    1e-14) a margin of 1e-3 gives span 2, which changes the entries by
+    about 1e-20 and the fitted coefficients by 5e-13, while span 1
+    leaves the fit unchanged.  Rounding down to a power of two lets the
+    z of a grid, and nearby stand-alone z, share one table.
     """
-    raw = mpf(z_abs) * mpf("1.5")
-    out = mpf(2) ** int(mpmath.floor(mpmath.log(raw, 2)))
-    if cap is not None:
-        out = min(out, mpf(cap))
-    return out
+    n = _CHORD_NODES
+    remainder = (mpmath.factorial(n) ** 4
+                 / ((2 * n + 1) * mpmath.factorial(2 * n) ** 3))
+    raw = mpf(z_abs) * (mpf("1e-6") * mpf(tol) / remainder) ** (mpf(1) / (2 * n))
+    return mpf(2) ** int(mpmath.floor(mpmath.log(raw, 2)))
+
+
+def _cutoffs(ray, z, tol):
+    """(tol_abs, stop_decay) of one ray at z.
+
+    tol_abs is tol relative to the size exp(-c/z) sqrt|z| of the ray's
+    contribution; past Re(f/z) = stop_decay a node adds less than
+    exp(-15) tol_abs.
+    """
+    c = ray.crit.values[ray.j]
+    tol_abs = mpf(tol) * abs(mpmath.exp(-c / z)) * abs(z) ** mpf("0.5")
+    return tol_abs, mpmath.log(1 / tol_abs) + 15
 
 
 def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     """Integral of exp(-f/z) omega from the zero along one outgoing ray.
 
     Splits into the local-coordinate gap, the traced polyline, and the
-    pole tail.  The polyline part re-uses a z-independent node table;
-    irregular tails are traced deep enough that the analytic remainder
-    bound falls below tol * |partial|.
+    pole tail.  The polyline part reads the ray's node table of chord
+    span df_max, by default the largest span `_quantized_df` allows at
+    this |z| and tol.  Its reach is set by the sum: chords are laid up
+    to where Re(f/z) passes the decay cut-off of `_cutoffs`, past which
+    no node counts.  Irregular tails are traced deep enough that the
+    analytic remainder bound falls below tol * |partial|.
     """
     z = to_mpc(z)
     d = ray.d
@@ -283,8 +339,7 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
         raise TailNotDecaying(f"z={z} outside the half-plane of direction {d}")
     term = ray.terminal
     c = ray.crit.values[ray.j]
-    scale = abs(mpmath.exp(-c / z)) * abs(z) ** mpf("0.5")
-    tol_abs = mpf(tol) * scale
+    tol_abs, stop_decay = _cutoffs(ray, z, tol)
     if term.pole_order >= 2:
         # reach s with M * exp(-s * rate) <= tol_abs
         for _ in range(4):
@@ -300,12 +355,12 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
         else:
             raise TailNotDecaying("irregular tail bound did not close")
     if df_max is None:
-        df_max = _quantized_df(abs(z), cap=mpf(1) / 16)
-    table = _ray_table(ray, df_max)
-    stop_decay = mpmath.log(1 / tol_abs) + 15
-    total = _exp_sum(*table.seed_gap(omega), z) + table.integral(omega, z, stop_decay)
+        df_max = _quantized_df(abs(z), tol)
+    quad = _RayQuadrature.of(ray)
+    total = (_exp_sum(quad.seed_gap(omega), z)
+             + quad.table(df_max).integral(omega, z, stop_decay))
     if term.pole_order == 1:
-        total += _simple_pole_tail(ray, table, omega, z, tol_abs, stop_decay)
+        total += _simple_pole_tail(ray, omega, z, tol_abs, stop_decay)
     return total
 
 
@@ -432,7 +487,7 @@ def sector_matrix(one_form, crit, d, z_grid, reps=None, asy_order=12,
     weights_by_m = {}
     series_cache = {}
     rays_cache = {}
-    df_max = _quantized_df(min(abs(to_mpc(z)) for z in z_grid))
+    df_max = _quantized_df(min(abs(to_mpc(z)) for z in z_grid), tol)
     for r, (j, k) in enumerate(row_index):
         m = one_form.zeros[j].order
         if m not in weights_by_m:

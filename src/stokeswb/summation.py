@@ -9,7 +9,6 @@ with T chosen from a fitted exponential-size bound.
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 
 import mpmath
@@ -59,7 +58,6 @@ class BorelFunction:
         self.guard_factor = mpf(guard_factor)
         if self.radius_estimate() <= 0:
             raise ValueError("Taylor data has vanishing convergence radius estimate")
-        self._lock = threading.Lock()
         self._pade_cache = {}
         self._chain_cache = {}
 
@@ -88,8 +86,7 @@ class BorelFunction:
 
     # -- Pade --
     def _pade(self, order):
-        with self._lock:
-            cached = self._pade_cache.get(order)
+        cached = self._pade_cache.get(order)
         if cached is not None:
             return cached
         coeffs = self.base.coeffs
@@ -105,8 +102,7 @@ class BorelFunction:
                 continue
         else:
             p, q = [mpc(coeffs[0])], [mpc(1)]
-        with self._lock:
-            self._pade_cache[order] = (p, q)
+        self._pade_cache[order] = (p, q)
         return p, q
 
     def _eval_pade(self, order, zeta):
@@ -127,12 +123,9 @@ class BorelFunction:
         return r
 
     def _chain(self, key):
-        with self._lock:
-            chain = self._chain_cache.get(key)
+        chain = self._chain_cache.get(key)
         if chain is None:
-            chain = [(mpc(0), list(self.base.coeffs))]
-            with self._lock:
-                self._chain_cache[key] = chain
+            chain = self._chain_cache[key] = [(mpc(0), list(self.base.coeffs))]
         return chain
 
     def _advance(self, chain, target, land=False):
@@ -178,11 +171,10 @@ class BorelFunction:
         key = tuple(mpmath.nstr(w, 25) for w in waypoints) or \
             mpmath.nstr(mpmath.arg(zeta), 25)
         chain = self._chain(key)
-        with self._lock:
-            for w in waypoints:
-                self._advance(chain, w, land=True)
-            self._advance(chain, zeta)
-            ranked = sorted(chain, key=lambda cc: abs(zeta - cc[0]))
+        for w in waypoints:
+            self._advance(chain, w, land=True)
+        self._advance(chain, zeta)
+        ranked = sorted(chain, key=lambda cc: abs(zeta - cc[0]))
         vals = []
         for center, coeffs in ranked[:2]:
             dz = zeta - center

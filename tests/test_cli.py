@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
 import mpmath
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from stokeswb import cli, gevrey, summation
+from stokeswb.errors import (ContinuationDiverged, DegenerateLattice,
+                             DivergentLaplace, MalformedInput, NoCapture,
+                             NotOneForm)
 from stokeswb.gevrey import GevreySeries
 
 
@@ -208,3 +215,98 @@ class TestPrecisionOverride:
         assert run_cli(["analyze", spec, "--out", out]) == 0
         monkeypatch.setenv("STOKES_WB_PRECISION", "32")
         assert run_cli(["analyze", spec, "--out", out]) == 1
+
+
+class TestErrorContract:
+    def test_missing_numerator_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "noP.json"
+        spec.write_text(json.dumps({"Q": [["0", "0"], ["1", "0"]]}))
+        assert run_cli(["analyze", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_bad_grid_count_exit_1(self, tmp_path, capsys):
+        series = tmp_path / "s.json"
+        series.write_text(json.dumps(GevreySeries((mpc(1), mpc(1))).to_json()))
+        assert run_cli(["sum", series, "--direction", "0",
+                        "--grid", "0.1:0.2:x:1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("error, code", [
+        (MalformedInput, 1), (NotOneForm, 2), (DegenerateLattice, 3),
+        (ContinuationDiverged, 4), (DivergentLaplace, 4), (NoCapture, 5)])
+    def test_each_error_type_has_its_code(self, monkeypatch, tmp_path,
+                                          error, code):
+        def fail(args):
+            raise error("raised by the command")
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        assert run_cli(["analyze", gamma_spec(tmp_path)]) == code
+
+
+def run_quietly(argv):
+    """cli.main on argv; (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in range(6)
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) <= 1
+
+
+# Inputs for the fuzz tests: each field is drawn mostly from values the
+# parser accepts, so whole inputs reach the numerics as well as the parser.
+# The polynomials give forms that analyze quickly.
+GOOD_NUMBERS = [0, 1, -1, "0.5", "2", [1, 0], ["0.5", "0.5"], [0, 0]]
+BAD_VALUES = ["x", "", None, True, {}, [1], [1, 2, 3], "nan", "inf", [[1, 0]]]
+NUMBER = st.sampled_from(2 * GOOD_NUMBERS + BAD_VALUES)
+POLY = st.one_of(
+    st.sampled_from(4 * [[-1, 1], [0, 1], [0, 0, 1], [-1, 0, 1], [0, -1, 1], [1]]
+                    + [[], [0]] + BAD_VALUES),
+    st.lists(NUMBER, min_size=1, max_size=3).filter(
+        lambda xs: any(x in BAD_VALUES for x in xs)))
+SPEC = st.one_of(
+    st.fixed_dictionaries({"P": POLY, "Q": POLY}, optional={
+        "basepoint": NUMBER, "f_offset": NUMBER,
+        "branch_paths": st.one_of(
+            st.lists(st.lists(NUMBER, max_size=2), max_size=2), NUMBER)}),
+    st.fixed_dictionaries({}, optional={"P": POLY, "Q": POLY}),
+    st.sampled_from([[], 3, "spec", None]))
+# |z| <= 0.5 keeps a round short: the sum at |z| = 1, arg 1 takes seconds
+RADIUS = st.sampled_from(["0.1", "0.2", "0.3", "0.5", "1e-3", "0", "-1", "x",
+                          "inf", ""])
+COUNT = st.sampled_from(["1", "2", "1", "2", "1", "2", "0", "-1", "1.5", "x"])
+OPENING = st.sampled_from(["0.5", "-1", "2", "nan", "x"])
+GRID = st.one_of(
+    st.tuples(RADIUS, RADIUS, COUNT, COUNT).map(":".join),
+    st.tuples(RADIUS, RADIUS, COUNT, COUNT, OPENING).map(":".join),
+    st.text(alphabet="0.:-xe ", max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SPEC)
+def test_fuzz_spec_exit_codes(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        assert_contract(*run_quietly(["analyze", path, "--out",
+                                      os.path.join(tmp, "r.json")]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(GRID)
+def test_fuzz_grid_exit_codes(grid):
+    series = GevreySeries((mpc(1), mpc(1), mpc(1)) + (mpc(0),) * 6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.json")
+        with open(path, "w") as fh:
+            json.dump(series.to_json(), fh)
+        assert_contract(*run_quietly(["sum", path, "--direction", "0",
+                                      f"--grid={grid}", "--out",
+                                      os.path.join(tmp, "s.csv")]))

@@ -72,7 +72,9 @@ class TestNodeTable:
         # the traced f, on the irregular and the simple-pole ray
         bound = mpf(2) ** (-mp.prec // 2)
         for ray in (gamma_thimble.forward, gamma_thimble.backward):
-            table = stokes._ray_table(ray, mpf(1) / 16)
+            table = stokes._RayTable(ray, mpf(1) / 16)
+            while table.lay_chord():
+                pass
             f_max = max(abs(f) for _, _, f in ray.samples)
             assert table.drift <= bound * max(1, f_max)
 
@@ -84,6 +86,8 @@ class TestNodeTable:
                               mp.pi - mpf("0.2"))
         df_max = mpf(1) / 4
         table = stokes._RayTable(ray, df_max)
+        while table.lay_chord():
+            pass
         samples = ray.samples
         switch = ray._switch_radius
         assert table.chords[0][0] == 0
@@ -108,10 +112,10 @@ class TestNodeTable:
                                         gamma_thimble):
         ray = gamma_thimble.backward
         assert ray.terminal.pole_order == 1
-        table = stokes._ray_table(ray, mpf(1) / 16)
-        table.ensure_tail(4)
+        quad = stokes._RayQuadrature.of(ray)
+        quad.ensure_tail(4)
         x_cap, f_cap = ray.terminal.capture_point, ray.terminal.f_capture
-        for x, f, _ in (table.tail_nodes[0], table.tail_nodes[-1]):
+        for x, f, _ in (quad.tail_nodes[0], quad.tail_nodes[-1]):
             with mp.workprec(mp.prec + 32):
                 ref = f_cap + mpmath.quad(gamma_form.form, [x_cap, x])
             assert abs(f - ref) < mpf("1e-60") * abs(ref)
@@ -139,10 +143,72 @@ class TestNodeTable:
         sum_at(mpf("0.2"))
         first = len(table.nodes)
         ray.ensure_flow_reach(30)
-        table._ingest()
         sum_at(mpf("0.5"))
         assert len(table.nodes) > first
         assert len(calls) == len(table.nodes)
+
+    def test_span_from_the_tolerance(self):
+        # the largest power of two whose 12-point Gauss remainder for
+        # exp(-f/z), 8.8e-39 (L/|z|)^24, stays at most 1e-6 tol
+        assert stokes._quantized_df(mpf("0.3"), mpf("1e-14")) == 1
+        for z_abs, tol in ((mpf("0.07"), mpf("1e-10")), (mpf("0.45"), mpf("1e-16")),
+                           (mpf(1), mpf("1e-30"))):
+            span = stokes._quantized_df(z_abs, tol)
+            assert mpf("8.8e-39") * (span / z_abs) ** 24 <= mpf("1e-6") * tol
+            assert mpf("8.8e-39") * (2 * span / z_abs) ** 24 > mpf("1e-6") * tol
+
+    def fresh_forward_ray(self, gamma_form, gamma_crit):
+        local = derham.local_coordinate_series(gamma_form, 0, 16)
+        return betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, local,
+                                TraceControls())
+
+    def test_frontier_sum_is_call_order_free(self, gamma_form, gamma_crit,
+                                             gamma_omega):
+        # z = 0.1 on the d = 0 forward ray, alone and after z = 0.45 has
+        # laid the same table further along; then against the same span
+        # laid to the end of the ray
+        tol, z = mpf("1e-12"), mpf("0.1")
+        span = stokes._quantized_df(z, tol)
+        alone, after, full = (self.fresh_forward_ray(gamma_form, gamma_crit)
+                              for _ in range(3))
+        stokes.ray_integral(after, gamma_omega, mpf("0.45"), tol, span)
+        value = stokes.ray_integral(alone, gamma_omega, z, tol, span)
+        assert stokes.ray_integral(after, gamma_omega, z, tol, span) == value
+        key = (span, stokes._CHORD_NODES)
+        assert (len(after.quadrature.tables[key].nodes)
+                > len(alone.quadrature.tables[key].nodes))
+        table = stokes._RayTable(full, span)
+        while table.lay_chord():
+            pass
+        assert len(table.nodes) > len(after.quadrature.tables[key].nodes)
+        assert len(full.samples) == len(alone.samples) == len(after.samples)
+        _, stop_decay = stokes._cutoffs(full, z, tol)
+        seed_gap = stokes._RayQuadrature.of(full).seed_gap(gamma_omega)
+        assert (stokes._exp_sum(seed_gap, z)
+                + table.integral(gamma_omega, z, stop_decay)) == value
+
+    def test_frontier_stops_at_the_decay_cutoff(self, gamma_form, gamma_crit,
+                                                gamma_omega, monkeypatch):
+        # chords are laid up to the first that starts past the cut-off,
+        # and omega is evaluated once per laid node
+        tol, z = mpf("1e-12"), mpf("0.1")
+        ray = self.fresh_forward_ray(gamma_form, gamma_crit)
+        table = stokes._RayTable(ray, stokes._quantized_df(z, tol))
+        _, stop_decay = stokes._cutoffs(ray, z, tol)
+        calls = []
+        plain = RationalForm.__call__
+
+        def counted(form, x):
+            calls.append(x)
+            return plain(form, x)
+
+        monkeypatch.setattr(RationalForm, "__call__", counted)
+        table.integral(gamma_omega, z, stop_decay)
+        monkeypatch.setattr(RationalForm, "__call__", plain)
+        assert len(calls) == len(table.nodes)
+        starts = [mpmath.re(ray.samples[start][2] / z) for start, _ in table.chords]
+        assert all(s <= stop_decay for s in starts[:-1])
+        assert table.chords[-1][1] < len(ray.samples) - 1
 
     def test_borel_side_never_builds_the_primitive(self, gamma_form,
                                                    gamma_crit, gamma_omega,
