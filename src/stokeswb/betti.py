@@ -7,7 +7,7 @@ Runge-Kutta pair (unit speed, projection step re-imposing the constant
 imaginary part) until it is captured by a pole.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import mpmath
@@ -86,7 +86,7 @@ def local_normalizer(m, k, z, d=0):
     return (1 - mpmath.exp(2j * mp.pi * ratio)) * power * mpmath.gamma(ratio) / (m + 1)
 
 
-def local_ray_integral(m, ell, kprime, z, d=0, tol=mpf("1e-24"), n_nodes=24):
+def local_ray_integral(m, ell, kprime, z, d=0, tol=mpf("1e-24")):
     """Quadrature of exp(-u^(m+1)/((m+1) z)) u^k' du over one outgoing ray."""
     z, d = to_mpc(z), mpf(d)
     phi = (2 * mp.pi * ell + d) / (m + 1)
@@ -106,7 +106,7 @@ def local_ray_integral(m, ell, kprime, z, d=0, tol=mpf("1e-24"), n_nodes=24):
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2, (b - a) / 2
         acc = mpc(0)
-        for x, w in legendre_nodes(n_nodes):
+        for x, w in legendre_nodes(24):
             acc += w * integrand(mid + half * x)
         total += acc * half
     return phase * total
@@ -178,10 +178,12 @@ class TraceControls:
     max_arc_length: object = mpf("1e5")
     capture_factor: object = mpf("0.1")    # trap radius / distance to nearest point
     saddle_tol: object = mpf("1e-7")       # approach tolerance at foreign zeros
-    flow_reach: object = mpf(80)           # Re(e^{-id}(f-c)) traced before stopping
+    # Re(e^{-id}(f-c)) where the first trace of an irregular tail ends;
+    # sums grow the tail on demand, so no integral depends on it
+    flow_reach: object = mpf(80)
     chart_switch: object = None            # |x| beyond which the 1/x chart is used
     spiral_tol: object = mpf("1e-8")       # straight-vs-spiral test at simple poles
-    max_steps: int = 200000
+    max_steps: int = 200000                # RK steps of a ray, growth included
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,11 @@ class ThimbleRay:
     Re(exp(-i d) f) is strictly increasing.  f advances by increments of
     the closed-form primitive (`derham.Primitive`, kept as `primitive`
     for the node tables built on the ray).
+
+    An irregular tail is one fixed sequence: `grow` appends the next
+    sample with the step carried over, so the samples do not depend on
+    how many calls produced them.  The terminal and `n_traced` are fixed
+    at the end of the first trace, which stops at `flow_reach`.
     """
 
     def __init__(self, one_form, crit, j, ell, d, local, controls):
@@ -232,9 +239,12 @@ class ThimbleRay:
         self.local = local
         self.controls = controls
         self.samples = []
+        self.n_traced = None
         self.terminal = None
         self.quadrature = None      # z-independent node data, laid by stokes
         self._state = None          # (x_chart_value, f, chart, s)
+        self._h = None              # next step of an irregular tail
+        self._steps = 0             # RK steps tried, growth included
         self._form_aff = one_form.form
         self._form_inf = one_form.form.at_infinity()
         self.primitive = derham.Primitive(one_form)
@@ -341,12 +351,8 @@ class ThimbleRay:
         ctl = self.controls
         x, f, chart, s = self._state
         h = self._initial_step(chart, x)
-        steps = 0
-        own_zero = self.one_form.zeros[self.j]
         while True:
-            steps += 1
-            if steps > ctl.max_steps:
-                raise NoCapture("step budget exhausted")
+            self._count_step()
             if s > ctl.max_arc_length:
                 raise NoCapture("arc length budget exhausted")
             x_new, err = self._ck_step(chart, x, h)
@@ -386,13 +392,21 @@ class ThimbleRay:
                 self._state = (x, f, chart, s)
                 self.terminal = hit
                 if hit.pole_order >= 2:
-                    self._extend_irregular(ctl.flow_reach)
+                    self._h = self._inner_step(chart, x)
+                    while self.flow_progress(self._state[1]) < ctl.flow_reach:
+                        self.grow()
                     self._finish_irregular()
                 else:
                     self._finish_simple()
+                self.n_traced = len(self.samples)
                 return
             self._state = (x, f, chart, s)
             h = min(h, self._step_cap(chart, x))
+
+    def _count_step(self):
+        self._steps += 1
+        if self._steps > self.controls.max_steps:
+            raise NoCapture("step budget exhausted")
 
     def _initial_step(self, chart, x):
         return self._step_cap(chart, x) / 8
@@ -459,41 +473,31 @@ class ThimbleRay:
     def flow_progress(self, f):
         return mpmath.re(mpmath.conj(self._unit) * (f - self.crit.values[self.j]))
 
-    def _extend_irregular(self, reach):
-        """Continue inside the trap until Re(e^{-id}(f-c)) >= reach."""
+    def grow(self):
+        """Append the next sample of an irregular tail; False on other rays."""
+        if self.terminal is None or self.terminal.pole_order < 2:
+            return False
         ctl = self.controls
         x, f, chart, s = self._state
-        h = self._inner_step(chart, x)
-        steps = 0
-        while self.flow_progress(f) < reach:
-            steps += 1
-            if steps > ctl.max_steps:
-                raise NoCapture("trap extension budget exhausted")
+        h = self._h
+        while True:
+            self._count_step()
             x_new, err = self._ck_step(chart, x, h)
             tol = mpf(ctl.rk_tol) * max(abs(x), mpf("1e-6"))
-            if err > tol and h > mpf("1e-40"):
-                h *= mpf("0.5")
-                continue
-            x, f = self._project(chart, x, f, x_new)
-            s += h
-            self.samples.append((s, self._affine(chart, x), f))
-            if err < tol / 32:
-                h *= 2
-            h = min(h, self._inner_step(chart, x))
+            if err <= tol or h <= mpf("1e-40"):
+                break
+            h *= mpf("0.5")
+        x, f = self._project(chart, x, f, x_new)
+        s += h
+        self.samples.append((s, self._affine(chart, x), f))
+        if err < tol / 32:
+            h *= 2
+        self._h = min(h, self._inner_step(chart, x))
         self._state = (x, f, chart, s)
-
-    def ensure_flow_reach(self, reach):
-        """Extend an irregular tail so the decaying exponent reaches `reach`."""
-        if self.terminal is None or self.terminal.pole_order < 2:
-            return
-        if self.flow_progress(self._state[1]) < reach:
-            self._extend_irregular(reach)
-            self._finish_irregular()
+        return True
 
     def _inner_step(self, chart, x):
-        pole = self._poles[self.terminal.pole_index] if self.terminal else None
-        if pole is None:
-            return self._step_cap(chart, x)
+        pole = self._poles[self.terminal.pole_index]
         if pole.location == INF:
             dist = abs(x)
         else:
@@ -569,10 +573,11 @@ class ThimblePath:
         return self.backward.terminal
 
     def samples(self):
-        """(t, x, f) with t < 0 on the backward ray."""
-        back = [(-s, x, f) for s, x, f in self.backward.samples]
+        """(t, x, f) of the first traces (not what sums grew), t < 0 backward."""
+        bwd, fwd = self.backward, self.forward
+        back = [(-s, x, f) for s, x, f in bwd.samples[:bwd.n_traced]]
         back.reverse()
-        return back + [(s, x, f) for s, x, f in self.forward.samples]
+        return back + fwd.samples[:fwd.n_traced]
 
     def im_deviation(self):
         return max(self.forward.im_deviation(), self.backward.im_deviation())
@@ -603,23 +608,22 @@ class ThimblePath:
         }
 
 
-_ray_cache = {}
-
-
 def trace_ray(one_form, crit, j, ell, d, controls=None):
-    """Trace the outgoing ray `ell` (0..m) at zero j along direction d."""
-    controls = controls or TraceControls()
+    """Trace the outgoing ray `ell` (0..m) at zero j along direction d.
+
+    Memoized by value: equal inputs share one ray.
+    """
     m = one_form.zeros[j].order
-    # the cached ray keeps one_form and crit alive, so their ids stay unique
-    key = (id(one_form), id(crit), j, ell % (m + 1), mpmath.nstr(mpf(d), 22),
-           controls, mp.prec)
-    if key in _ray_cache:
-        return _ray_cache[key]
+    return _traced_ray(one_form, crit, j, ell % (m + 1), mpf(d),
+                       controls or TraceControls())
+
+
+@derham._value_memo
+def _traced_ray(one_form, crit, j, ell, d, controls):
+    m = one_form.zeros[j].order
     # memoized by value: one series per zero, shared by every ray
     local = derham.local_coordinate_series(one_form, j, max(m + 2, 16))
-    ray = ThimbleRay(one_form, crit, j, ell % (m + 1), d, local, controls)
-    _ray_cache[key] = ray
-    return ray
+    return ThimbleRay(one_form, crit, j, ell, d, local, controls)
 
 
 def trace_thimble(one_form, crit, j, ell, d, controls=None, generic_check=None):

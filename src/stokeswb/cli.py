@@ -4,9 +4,9 @@ Subcommands: analyze, sum, formal-xi, thimble, stokes, gamma-demo, check.
 All numeric output is written as decimal strings at the working
 precision; identical configurations produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or malformed input, 2 degenerate 1-form,
-3 support property failure, 4 divergent resummation, 5 invariant
-failure.
+Exit codes: 0 success, 1 usage or malformed input (a branch path through
+a pole included), 2 degenerate 1-form, 3 support property failure,
+4 divergent resummation, 5 invariant failure.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from . import betti, derham, gevrey, lattice, stokes, summation
 from .derham import INF, RationalForm
 from .errors import (ContinuationDiverged, DegenerateLattice, DivergentLaplace,
                      GrowthTooFast, MalformedInput, NearSingularity, NotOneForm,
-                     SingularRay, WorkbenchError)
+                     PathThroughPole, SingularRay, WorkbenchError)
 from .scalar import cplx_to_pair, default_precision
 
 EXIT_USAGE = 1
@@ -33,6 +33,7 @@ EXIT_INVARIANT = 5
 # exit code of each error type, first match wins
 EXIT_CODES = (
     (MalformedInput, EXIT_USAGE),
+    (PathThroughPole, EXIT_USAGE),
     (NotOneForm, EXIT_NOT_ONE_FORM),
     (DegenerateLattice, EXIT_SUPPORT_FAILURE),
     ((ContinuationDiverged, DivergentLaplace, GrowthTooFast, NearSingularity,
@@ -97,7 +98,8 @@ def _spec_field(data, key, parse, default=None):
 
 def _parse_grid(spec):
     """r_min:r_max:n_radial:n_angular[:half_opening] around the direction."""
-    parts = spec.split(":")
+    # argparse hands over the option value "--" as an empty list
+    parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) not in (4, 5):
         raise MalformedInput(
             f"grid spec {spec!r} must be r_min:r_max:n_radial:n_angular[:opening]")
@@ -484,6 +486,8 @@ def main(argv=None):
             return args.func(args)
         except WorkbenchError as err:
             code = next(code for kind, code in EXIT_CODES if isinstance(err, kind))
+            if isinstance(err, PathThroughPole):
+                err = f"{err}; give the spec branch_paths that go round the pole"
             return _fail(code, str(err))
 
 

@@ -14,10 +14,12 @@ in f is the largest power of two at which the 12-point Gauss-Legendre
 remainder for exp(-f/z) stays below 1e-6 tol (`_quantized_df`), and its
 chords are laid, and omega evaluated on them, only as far along the ray
 as a sum has read: up to where Re(f/z) passes the decay cut-off of the
-z at hand.  A later z reads on from there.  Sectorial matrices collect
-the normalized integrals over the discrete-Fourier cycles; Stokes
-factors are least-squares fits of matrix transition data over the
-exponential dictionary supplied by the period lattice.
+z at hand, growing an irregular tail as they go.  A later z reads on
+from there, so a result does not depend on which z ran before.
+Sectorial matrices collect the normalized integrals over the
+discrete-Fourier cycles; Stokes factors are least-squares fits of
+matrix transition data over the exponential dictionary supplied by the
+period lattice.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +38,10 @@ from .scalar import legendre_nodes, to_mpc
 
 # Gauss-Legendre nodes per flow-line chunk
 _CHORD_NODES = 12
+# the gap from the zero to the seed: panels, and nodes per panel
+_GAP_PANELS, _GAP_NODES = 3, 16
+# the straightened simple-pole tail: panels per unit tau, nodes per panel
+_TAIL_PANELS_PER_UNIT, _TAIL_NODES = 2, 10
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +70,15 @@ class _RayTable:
     only once a sum has read every node laid so far, and omega is
     evaluated once per laid node.  The table therefore ends with the
     chord in which the furthest sum stopped at its decay cut-off (see
-    `_exp_sum`), and the chords are a prefix of the greedy sequence over
-    the whole ray, so every sum is bit-identical to one over a table
-    laid to the end of the ray.  Samples appended by a later extension
-    of the ray are laid when a sum reaches them; a chord laid up to the
-    old end stays as it was.
+    `_exp_sum`).  A chord that reaches the last sample of an irregular
+    tail grows the ray (`ThimbleRay.grow`), so no chord is cut at a
+    traced end: the chords are a prefix of the one greedy sequence over
+    the ray's samples, and a sum does not depend on what ran before it.
     """
 
-    def __init__(self, ray, df_max, n_nodes=_CHORD_NODES):
+    def __init__(self, ray, df_max):
         self.ray = ray
         self.df_max = mpf(df_max)
-        self.n_nodes = n_nodes
         self.nodes = []          # (x, f, w, in_infinity_chart)
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
@@ -82,12 +86,18 @@ class _RayTable:
         self._weighted = {}      # omega -> [w * omega(x)] over laid nodes
 
     def lay_chord(self):
-        """Lay the next chord greedily; False once every sample is covered."""
-        samples = self.ray.samples
-        if self._consumed >= len(samples):
+        """Lay the next chord greedily; False once a finite ray is covered."""
+        ray = self.ray
+        samples = ray.samples
+
+        def has(i):
+            # samples are read in order, so one grown sample reaches i
+            return i < len(samples) or ray.grow()
+
+        if not has(self._consumed):
             return False
-        prim = self.ray.primitive
-        switch = self.ray._switch_radius
+        prim = ray.primitive
+        switch = ray._switch_radius
 
         def in_inf(i):
             return abs(samples[i][1]) > switch and abs(samples[i + 1][1]) > switch
@@ -96,11 +106,11 @@ class _RayTable:
         _, x0, f0 = samples[start]
         use_inf = in_inf(start)
         a_pt = 1 / x0 if use_inf else x0
-        cap = self.ray._step_cap(INF if use_inf else "affine", a_pt)
+        cap = ray._step_cap(INF if use_inf else "affine", a_pt)
         if use_inf:
             cap = min(cap, abs(a_pt) / 5)
         end = start + 1
-        while end + 1 < len(samples) and in_inf(end) == use_inf:
+        while has(end + 1) and in_inf(end) == use_inf:
             _, x_next, f_next = samples[end + 1]
             b_next = 1 / x_next if use_inf else x_next
             if abs(f_next - f0) > self.df_max or abs(b_next - a_pt) > cap:
@@ -117,7 +127,7 @@ class _RayTable:
             pb = a_pt + (b_pt - a_pt) * mpf(p + 1) / pieces
             half = (pb - pa) / 2
             mid = (pa + pb) / 2
-            for xg, wg in legendre_nodes(self.n_nodes):
+            for xg, wg in legendre_nodes(_CHORD_NODES):
                 node = mid + half * xg
                 x_here = 1 / node if use_inf else node
                 r_here = prim.rational(x_here)
@@ -140,8 +150,9 @@ class _RayTable:
             yield self.nodes[i][1], vals[i]
             i += 1
 
-    def integral(self, omega, z, stop_decay=None):
-        """sum over nodes of w * omega * exp(-f/z), in the right chart."""
+    def integral(self, omega, z, stop_decay):
+        """sum over nodes of w * omega * exp(-f/z) to the cut-off, and the
+        index of the first node past it (see `_exp_sum`)."""
         return _exp_sum(self.terms(omega), z, stop_decay)
 
 
@@ -151,7 +162,7 @@ class _RayQuadrature:
     The local-coordinate gap from the zero to the seed point and the
     straightened tail into a simple pole do not depend on the chord
     span, so one set per omega serves every flow-line table of the ray.
-    The tables are keyed by (df_max, nodes per chunk).
+    The tables are keyed by their span df_max.
     """
 
     def __init__(self, ray):
@@ -159,7 +170,6 @@ class _RayQuadrature:
         self.tables = {}
         self._seed_gap = {}      # omega -> [(f, weight * omega * x'(u))]
         self.tail_nodes = []     # (x, f, w) along the straightened pole segment
-        self.tail_tau = mpf(0)
         self._tail_weighted = {}
 
     @classmethod
@@ -168,15 +178,15 @@ class _RayQuadrature:
             ray.quadrature = cls(ray)
         return ray.quadrature
 
-    def table(self, df_max, n_nodes=_CHORD_NODES):
-        key = (mpf(df_max), n_nodes)
-        if key not in self.tables:
-            self.tables[key] = _RayTable(self.ray, df_max, n_nodes)
-        return self.tables[key]
+    def table(self, df_max):
+        df_max = mpf(df_max)
+        if df_max not in self.tables:
+            self.tables[df_max] = _RayTable(self.ray, df_max)
+        return self.tables[df_max]
 
     # -- from the zero to the seed point, in the local coordinate --
 
-    def seed_gap(self, omega, n_panels=3, n_nodes=16):
+    def seed_gap(self, omega):
         """[(f, weight * omega(x(u)) x'(u))] over the gap to the seed."""
         out = self._seed_gap.get(omega)
         if out is None:
@@ -187,11 +197,11 @@ class _RayQuadrature:
             omega_chart = omega.in_chart(local.chart)
             u_end = ray.u_seed
             out = self._seed_gap[omega] = []
-            for p in range(n_panels):
-                a = u_end * mpf(p) / n_panels
-                b = u_end * mpf(p + 1) / n_panels
+            for p in range(_GAP_PANELS):
+                a = u_end * mpf(p) / _GAP_PANELS
+                b = u_end * mpf(p + 1) / _GAP_PANELS
                 mid, half = (a + b) / 2, (b - a) / 2
-                for xg, wg in legendre_nodes(n_nodes):
+                for xg, wg in legendre_nodes(_GAP_NODES):
                     u = mid + half * xg
                     out.append((c + u ** (m + 1) / (m + 1),
                                 wg * half * omega_chart(local.point(u))
@@ -200,10 +210,10 @@ class _RayQuadrature:
 
     # -- straightened tail into a simple pole, log-parametrized --
 
-    def ensure_tail(self, tau_max, panels_per_unit=2, n_nodes=10):
+    def ensure_tail(self, tau_max):
+        """Lay the panels that start before tau_max; their node count."""
+        n = int(mpmath.ceil(tau_max * _TAIL_PANELS_PER_UNIT)) * _TAIL_NODES
         term = self.ray.terminal
-        if term is None or term.pole_order != 1:
-            return
         prim = self.ray.primitive
         p = to_mpc(self.ray._poles[term.pole_index].location)
         k = next(i for i, pole in enumerate(prim.poles) if pole[0] == p)
@@ -211,11 +221,11 @@ class _RayQuadrature:
         x_cap = to_mpc(term.capture_point)
         x0 = x_cap - p
         f_cap = to_mpc(term.f_capture) - prim.rational(x_cap)
-        while self.tail_tau < tau_max:
-            a = self.tail_tau
-            b = a + 1 / mpf(panels_per_unit)
+        while len(self.tail_nodes) < n:
+            a = mpf(len(self.tail_nodes) // _TAIL_NODES) / _TAIL_PANELS_PER_UNIT
+            b = a + 1 / mpf(_TAIL_PANELS_PER_UNIT)
             mid, half = (a + b) / 2, (b - a) / 2
-            for xg, wg in legendre_nodes(n_nodes):
+            for xg, wg in legendre_nodes(_TAIL_NODES):
                 tau = mid + half * xg
                 dx = x0 * mpmath.exp(-tau)
                 x_here = p + dx
@@ -224,18 +234,24 @@ class _RayQuadrature:
                 f = (f_cap + prim.rational(x_here) - residue * tau
                      + prim.log_increment(x_cap, x_here, skip=k))
                 self.tail_nodes.append((x_here, f, -wg * half * dx))
-            self.tail_tau = b
+        return n
 
-    def tail_integral(self, omega, z, stop_decay=None):
+    def tail_terms(self, omega):
+        """(f, w * omega(x)) along the tail, a panel laid as a sum reads on."""
         vals = self._tail_weighted.setdefault(omega, [])
-        for x, _, w in self.tail_nodes[len(vals):]:
-            vals.append(w * omega(x))
-        return _exp_sum(zip((f for _, f, _ in self.tail_nodes), vals),
-                        z, stop_decay)
+        i = 0
+        while True:
+            if i == len(self.tail_nodes):
+                self.ensure_tail(mpf(i // _TAIL_NODES + 1) / _TAIL_PANELS_PER_UNIT)
+            if i == len(vals):
+                vals.extend(w * omega(x) for x, _, w in self.tail_nodes[i:])
+            yield self.tail_nodes[i][1], vals[i]
+            i += 1
 
 
 def _exp_sum(terms, z, stop_decay=None):
-    """sum of c * exp(-f/z) over (f, c) pairs taken in flow order.
+    """sum of c * exp(-f/z) over (f, c) pairs taken in flow order, and the
+    index of the first pair past the cut-off (None if none is).
 
     The running primitive grows monotonically along the ray, so once
     Re(f/z) exceeds `stop_decay` the remaining nodes are negligible
@@ -243,49 +259,47 @@ def _exp_sum(terms, z, stop_decay=None):
     """
     mz = -1 / to_mpc(z)
     total = mpc(0)
+    past = None
     deep = 0
-    for f, c in terms:
+    for i, (f, c) in enumerate(terms):
         e = f * mz
         if stop_decay is not None and -e.real > stop_decay:
+            if past is None:
+                past = i
             deep += 1
             if deep > 3:
                 break
             continue
         total += c * mpmath.exp(e)
-    return total
+    return total, past
 
 
 # ---------------------------------------------------------------------------
 # the three-part contour integral over one ray
 # ---------------------------------------------------------------------------
 
-def _simple_pole_tail(ray, omega, z, tol_abs, stop_decay=None):
+def _simple_pole_tail(ray, omega, z, stop_decay):
     """Tail along the straightened segment into a simple pole.
 
     Parametrized by x = p + x0 * exp(-tau); the primitive increment per
     unit tau tends to -residue, so the integrand decays at rate
     -Re(residue/z) minus the pole order of omega at p (if any).  The
-    nodes are z-independent and kept once per ray.
+    nodes are z-independent and kept once per ray; like the flow-line
+    table, the tail is laid as far as a sum reads, and each sum stops
+    at its own decay cut-off.
     """
-    term = ray.terminal
-    pole = ray._poles[term.pole_index]
+    pole = ray._poles[ray.terminal.pole_index]
     z = to_mpc(z)
     if pole.location == INF:
         raise AssertionError("simple-pole tail at infinity is handled in-chart")
     p = to_mpc(pole.location)
-    x0 = to_mpc(term.capture_point) - p
     # pole order of omega at p decides the growth of the non-exponential part
     n_om, _ = derham._laurent_series(omega, p, order_hint=1)
     rate = -mpmath.re(pole.residue / z) - n_om + 1
     if rate <= mpf("0.05"):
         raise TailNotDecaying(
             f"simple-pole tail rate {rate} at z={z} (omega pole order {n_om})")
-    g0 = abs(omega(p + x0)) * abs(x0)
-    tau_max = (mpmath.log(max(g0, mpf("1e-30")) / tol_abs) + 5) / rate
-    tau_max = max(tau_max, mpf(4))
-    quad = _RayQuadrature.of(ray)
-    quad.ensure_tail(tau_max)
-    return quad.tail_integral(omega, z, stop_decay)
+    return _exp_sum(_RayQuadrature.of(ray).tail_terms(omega), z, stop_decay)[0]
 
 
 def _quantized_df(z_abs, tol):
@@ -327,10 +341,11 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     Splits into the local-coordinate gap, the traced polyline, and the
     pole tail.  The polyline part reads the ray's node table of chord
     span df_max, by default the largest span `_quantized_df` allows at
-    this |z| and tol.  Its reach is set by the sum: chords are laid up
-    to where Re(f/z) passes the decay cut-off of `_cutoffs`, past which
-    no node counts.  Irregular tails are traced deep enough that the
-    analytic remainder bound falls below tol * |partial|.
+    this |z| and tol.  Its reach is set by the sum alone: chords are
+    laid, and an irregular tail grown, up to where Re(f/z) passes the
+    decay cut-off of `_cutoffs`, past which no node counts.  On an
+    irregular tail the analytic remainder bound at the first node past
+    the cut-off must be below tol_abs.
     """
     z = to_mpc(z)
     d = ray.d
@@ -338,30 +353,25 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     if rate <= 0:
         raise TailNotDecaying(f"z={z} outside the half-plane of direction {d}")
     term = ray.terminal
-    c = ray.crit.values[ray.j]
     tol_abs, stop_decay = _cutoffs(ray, z, tol)
-    if term.pole_order >= 2:
-        # reach s with M * exp(-s * rate) <= tol_abs
-        for _ in range(4):
-            x_end, f_end = ray.samples[-1][1], ray.samples[-1][2]
-            m_tail = _tail_magnitude(ray, omega, x_end)
-            s_end = ray.flow_progress(f_end)
-            bound = m_tail * mpmath.exp(-s_end * rate - mpmath.re(c / z)) / rate
-            if bound <= tol_abs:
-                break
-            needed = (mpmath.log(max(m_tail, mpf("1e-30")) / (tol_abs * rate))
-                      - mpmath.re(c / z)) / rate
-            ray.ensure_flow_reach(needed * mpf("1.1") + 2)
-        else:
-            raise TailNotDecaying("irregular tail bound did not close")
     if df_max is None:
         df_max = _quantized_df(abs(z), tol)
     quad = _RayQuadrature.of(ray)
-    total = (_exp_sum(quad.seed_gap(omega), z)
-             + quad.table(df_max).integral(omega, z, stop_decay))
+    table = quad.table(df_max)
+    gap, _ = _exp_sum(quad.seed_gap(omega), z)
+    line, past = table.integral(omega, z, stop_decay)
     if term.pole_order == 1:
-        total += _simple_pole_tail(ray, omega, z, tol_abs, stop_decay)
-    return total
+        return gap + line + _simple_pole_tail(ray, omega, z, stop_decay)
+    # remainder past the cut-off: M * exp(-s * rate - Re(c/z)) / rate
+    x_past, f_past = table.nodes[past][:2]
+    m_tail = _tail_magnitude(ray, omega, x_past)
+    c = ray.crit.values[ray.j]
+    exponent = ray.flow_progress(f_past) * rate + mpmath.re(c / z)
+    bound = m_tail * mpmath.exp(-exponent) / rate
+    if bound > tol_abs:
+        raise TailNotDecaying(f"irregular tail bound {mpmath.nstr(bound, 3)} "
+                              f"above {mpmath.nstr(tol_abs, 3)} at z={z}")
+    return gap + line
 
 
 def _tail_magnitude(ray, omega, x_end):
@@ -484,24 +494,17 @@ def sector_matrix(one_form, crit, d, z_grid, reps=None, asy_order=12,
         raise ValueError("need as many representatives as matrix rows")
     entries = {}
     asy = {}
-    weights_by_m = {}
-    series_cache = {}
-    rays_cache = {}
     df_max = _quantized_df(min(abs(to_mpc(z)) for z in z_grid), tol)
     for r, (j, k) in enumerate(row_index):
         m = one_form.zeros[j].order
-        if m not in weights_by_m:
-            weights_by_m[m] = betti.dft_weights(m)
-        if j not in rays_cache:
-            rays_cache[j] = [betti.trace_ray(one_form, crit, j, ell, d, controls)
-                             for ell in range(m + 1)]
-        rays = rays_cache[j]
+        weights = betti.dft_weights(m)[k]
+        # trace_ray and formal_comparison are memoized by value
+        rays = [betti.trace_ray(one_form, crit, j, ell, d, controls)
+                for ell in range(m + 1)]
         c_j = crit.values[j]
         for col, omega in enumerate(reps):
-            if (j, col) not in series_cache:
-                series_cache[(j, col)] = derham.formal_comparison(
-                    omega, one_form, j, asy_order)
-            asy[(r, col)] = _flip_z(series_cache[(j, col)][k])
+            asy[(r, col)] = _flip_z(derham.formal_comparison(
+                omega, one_form, j, asy_order)[k])
             vals = []
             for z in z_grid:
                 z = to_mpc(z)
@@ -510,7 +513,7 @@ def sector_matrix(one_form, crit, d, z_grid, reps=None, asy_order=12,
                 total = mpc(0)
                 for ell in range(m + 1):
                     contrib = ray_vals[ell] - ray_vals[(ell + 1) % (m + 1)]
-                    total += weights_by_m[m][k][ell] * contrib
+                    total += weights[ell] * contrib
                 h = local_normalizer(m, k, z, d)
                 vals.append(total * mpmath.exp(c_j / z) / h)
             entries[(r, col)] = vals

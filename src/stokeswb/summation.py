@@ -447,23 +447,15 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None, quad_tol=None):
     return unit * total / z
 
 
-def _default_size(g, d, fit_radius=None):
-    cache = getattr(g, "_size_cache", None)
-    if cache is None:
-        cache = {}
-        g._size_cache = cache
-    key = mpmath.nstr(mpf(d), 20)
-    if key in cache:
-        return cache[key]
+def _default_size(g, d):
     r = g.radius_estimate()
-    if fit_radius is None:
-        if g.known_singularities:
-            fit_radius = 4 * min(abs(s) for s in g.known_singularities)
-        elif mpmath.isinf(r):
-            fit_radius = mpf(20)
-        else:
-            fit_radius = 8 * r
-        fit_radius = min(fit_radius, mpf(48))
+    if g.known_singularities:
+        fit_radius = 4 * min(abs(s) for s in g.known_singularities)
+    elif mpmath.isinf(r):
+        fit_radius = mpf(20)
+    else:
+        fit_radius = 8 * r
+    fit_radius = min(fit_radius, mpf(48))
     unit = mpmath.exp(1j * mpf(d))
     lo = (r / 8) if not mpmath.isinf(r) else fit_radius / mpf(40)
     lo = min(lo, fit_radius / mpf(40))
@@ -479,9 +471,7 @@ def _default_size(g, d, fit_radius=None):
             samples.append(t * unit)
         t *= mpf("1.25")
     sector = UnboundedSector(d, mpf("0.1"))
-    est = exp_size_one_estimate(g, sector, samples)
-    cache[key] = est
-    return est
+    return exp_size_one_estimate(g, sector, samples)
 
 
 @dataclass

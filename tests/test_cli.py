@@ -6,13 +6,13 @@ import tempfile
 
 import pytest
 import mpmath
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from stokeswb import cli, gevrey, summation
 from stokeswb.errors import (ContinuationDiverged, DegenerateLattice,
                              DivergentLaplace, MalformedInput, NoCapture,
-                             NotOneForm)
+                             NotOneForm, PathThroughPole)
 from stokeswb.gevrey import GevreySeries
 
 
@@ -233,9 +233,21 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    def test_default_path_through_a_pole_exit_1(self, tmp_path, capsys):
+        # (x^2 - 1)/x dx with no branch_paths: the straight path from the
+        # basepoint 1 to the zero -1 runs through the pole at 0
+        spec = tmp_path / "pole.json"
+        spec.write_text(json.dumps({"P": [[-1, 0], [0, 0], [1, 0]],
+                                    "Q": [[0, 0], [1, 0]]}))
+        assert run_cli(["analyze", spec, "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "branch_paths" in err
+
     @pytest.mark.parametrize("error, code", [
         (MalformedInput, 1), (NotOneForm, 2), (DegenerateLattice, 3),
-        (ContinuationDiverged, 4), (DivergentLaplace, 4), (NoCapture, 5)])
+        (ContinuationDiverged, 4), (DivergentLaplace, 4), (PathThroughPole, 1),
+        (NoCapture, 5)])
     def test_each_error_type_has_its_code(self, monkeypatch, tmp_path,
                                           error, code):
         def fail(args):
@@ -301,6 +313,7 @@ def test_fuzz_spec_exit_codes(spec):
 
 @settings(max_examples=30, deadline=None)
 @given(GRID)
+@example(grid="--")
 def test_fuzz_grid_exit_codes(grid):
     series = GevreySeries((mpc(1), mpc(1), mpc(1)) + (mpc(0),) * 6)
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -66,6 +68,20 @@ class TestExpIntegral:
                                 mpc(-0.2, 0.05))
 
 
+def fresh_ray(form, crit, ell=0, d=0, controls=TraceControls()):
+    """A ray at zero 0 traced apart from the memo of `betti.trace_ray`."""
+    local = derham.local_coordinate_series(form, 0, 16)
+    return betti.ThimbleRay(form, crit, 0, ell, d, local, controls)
+
+
+def lay_traced(table):
+    """Lay chords over the samples of the ray's first trace."""
+    end = table.ray.n_traced - 1
+    while not table.chords or table.chords[-1][1] < end:
+        assert table.lay_chord()
+    return end
+
+
 class TestNodeTable:
     def test_drift_at_working_precision(self, gamma_thimble):
         # the table's chained primitive, closed at each sample, against
@@ -73,25 +89,24 @@ class TestNodeTable:
         bound = mpf(2) ** (-mp.prec // 2)
         for ray in (gamma_thimble.forward, gamma_thimble.backward):
             table = stokes._RayTable(ray, mpf(1) / 16)
-            while table.lay_chord():
-                pass
-            f_max = max(abs(f) for _, _, f in ray.samples)
+            lay_traced(table)
+            covered = ray.samples[:table.chords[-1][1] + 1]
+            f_max = max(abs(f) for _, _, f in covered)
             assert table.drift <= bound * max(1, f_max)
 
     def test_chords_span_several_samples(self, gamma_form, gamma_crit):
         # on a far ray, chords merge the short steps of the irregular tail
         # but keep each chunk's two bounds: at most df_max of f, and inside
         # the tracer's step cap at the chord's first sample
-        ray = betti.trace_ray(gamma_form, gamma_crit, 0, 0,
-                              mp.pi - mpf("0.2"))
+        ray = fresh_ray(gamma_form, gamma_crit, 0, mp.pi - mpf("0.2"))
         df_max = mpf(1) / 4
         table = stokes._RayTable(ray, df_max)
-        while table.lay_chord():
-            pass
-        samples = ray.samples
+        traced_end = lay_traced(table)
+        # the samples the chords cover; the last chord may grow the ray
+        samples = ray.samples[:table.chords[-1][1] + 1]
         switch = ray._switch_radius
         assert table.chords[0][0] == 0
-        assert table.chords[-1][1] == len(samples) - 1
+        assert table.chords[-1][1] >= traced_end
         for (_, end), (start, _) in zip(table.chords, table.chords[1:]):
             assert start == end
         for start, end in table.chords:
@@ -103,7 +118,7 @@ class TestNodeTable:
                 assert abs((1 / x if use_inf else x) - a_pt) <= cap
                 if end > start + 1:
                     assert abs(f - f0) <= df_max
-        chunks = len(table.nodes) // table.n_nodes
+        chunks = len(table.nodes) // stokes._CHORD_NODES
         assert chunks < len(samples) - 1
         f_max = max(abs(f) for _, _, f in samples)
         assert table.drift <= mpf(2) ** (-mp.prec // 2) * max(1, f_max)
@@ -113,37 +128,43 @@ class TestNodeTable:
         ray = gamma_thimble.backward
         assert ray.terminal.pole_order == 1
         quad = stokes._RayQuadrature.of(ray)
-        quad.ensure_tail(4)
+        # the memoized ray may carry a deeper tail from earlier sums; its
+        # nodes through tau = 4 are the same
+        last = quad.ensure_tail(4) - 1
         x_cap, f_cap = ray.terminal.capture_point, ray.terminal.f_capture
-        for x, f, _ in (quad.tail_nodes[0], quad.tail_nodes[-1]):
+        for x, f, _ in (quad.tail_nodes[0], quad.tail_nodes[last]):
             with mp.workprec(mp.prec + 32):
                 ref = f_cap + mpmath.quad(gamma_form.form, [x_cap, x])
             assert abs(f - ref) < mpf("1e-60") * abs(ref)
 
     def test_omega_evaluated_once_per_node(self, gamma_form, gamma_crit,
                                            gamma_omega, monkeypatch):
-        # an irregular ray extended for a later z: the table evaluates
-        # omega at the new nodes only
-        local = derham.local_coordinate_series(gamma_form, 0, 16)
-        ray = betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, local,
-                               TraceControls(flow_reach=10))
+        # an irregular ray grown by the sum of a later z: the table
+        # evaluates omega at the new nodes only
+        ray = fresh_ray(gamma_form, gamma_crit,
+                        controls=TraceControls(flow_reach=10))
+        traced = len(ray.samples)
         table = stokes._RayTable(ray, mpf(1) / 16)
         calls = []
         plain = RationalForm.__call__
+        # the trace evaluates the 1-form as the sum grows the ray
+        alpha = (gamma_form.form, gamma_form.form.at_infinity())
 
         def counted(form, x):
-            calls.append(x)
+            if form not in alpha:
+                calls.append(x)
             return plain(form, x)
 
         def sum_at(z):
+            _, stop_decay = stokes._cutoffs(ray, z, mpf("1e-12"))
             monkeypatch.setattr(RationalForm, "__call__", counted)
-            table.integral(gamma_omega, z)
+            table.integral(gamma_omega, z, stop_decay)
             monkeypatch.setattr(RationalForm, "__call__", plain)
 
         sum_at(mpf("0.2"))
         first = len(table.nodes)
-        ray.ensure_flow_reach(30)
         sum_at(mpf("0.5"))
+        assert len(ray.samples) > traced
         assert len(table.nodes) > first
         assert len(calls) == len(table.nodes)
 
@@ -157,42 +178,35 @@ class TestNodeTable:
             assert mpf("8.8e-39") * (span / z_abs) ** 24 <= mpf("1e-6") * tol
             assert mpf("8.8e-39") * (2 * span / z_abs) ** 24 > mpf("1e-6") * tol
 
-    def fresh_forward_ray(self, gamma_form, gamma_crit):
-        local = derham.local_coordinate_series(gamma_form, 0, 16)
-        return betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, local,
-                                TraceControls())
-
     def test_frontier_sum_is_call_order_free(self, gamma_form, gamma_crit,
                                              gamma_omega):
         # z = 0.1 on the d = 0 forward ray, alone and after z = 0.45 has
         # laid the same table further along; then against the same span
-        # laid to the end of the ray
+        # laid over the whole first trace
         tol, z = mpf("1e-12"), mpf("0.1")
         span = stokes._quantized_df(z, tol)
-        alone, after, full = (self.fresh_forward_ray(gamma_form, gamma_crit)
+        alone, after, full = (fresh_ray(gamma_form, gamma_crit)
                               for _ in range(3))
         stokes.ray_integral(after, gamma_omega, mpf("0.45"), tol, span)
         value = stokes.ray_integral(alone, gamma_omega, z, tol, span)
         assert stokes.ray_integral(after, gamma_omega, z, tol, span) == value
-        key = (span, stokes._CHORD_NODES)
-        assert (len(after.quadrature.tables[key].nodes)
-                > len(alone.quadrature.tables[key].nodes))
+        assert (len(after.quadrature.tables[span].nodes)
+                > len(alone.quadrature.tables[span].nodes))
         table = stokes._RayTable(full, span)
-        while table.lay_chord():
-            pass
-        assert len(table.nodes) > len(after.quadrature.tables[key].nodes)
-        assert len(full.samples) == len(alone.samples) == len(after.samples)
+        traced_end = lay_traced(table)
+        assert len(table.nodes) > len(after.quadrature.tables[span].nodes)
+        assert traced_end + 1 == len(alone.samples) == len(after.samples)
         _, stop_decay = stokes._cutoffs(full, z, tol)
         seed_gap = stokes._RayQuadrature.of(full).seed_gap(gamma_omega)
-        assert (stokes._exp_sum(seed_gap, z)
-                + table.integral(gamma_omega, z, stop_decay)) == value
+        assert (stokes._exp_sum(seed_gap, z)[0]
+                + table.integral(gamma_omega, z, stop_decay)[0]) == value
 
     def test_frontier_stops_at_the_decay_cutoff(self, gamma_form, gamma_crit,
                                                 gamma_omega, monkeypatch):
         # chords are laid up to the first that starts past the cut-off,
         # and omega is evaluated once per laid node
         tol, z = mpf("1e-12"), mpf("0.1")
-        ray = self.fresh_forward_ray(gamma_form, gamma_crit)
+        ray = fresh_ray(gamma_form, gamma_crit)
         table = stokes._RayTable(ray, stokes._quantized_df(z, tol))
         _, stop_decay = stokes._cutoffs(ray, z, tol)
         calls = []
@@ -232,6 +246,79 @@ class TestNodeTable:
             betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0,
                              derham.local_coordinate_series(gamma_form, 0, 16),
                              TraceControls())
+
+
+class TestCallOrder:
+    """A result depends on its inputs and the precision, not on what ran
+    before: sums grow a ray by its one fixed sequence of samples."""
+
+    # criterion 3's far ray: exp(-f/z) decays slowly along it, so its sums
+    # read far past the first trace
+    d = mp.pi - mpf("0.2")
+    unit = mpmath.exp(1j * (mp.pi / 2 - mpf("0.1")))
+
+    def test_far_ray_alone_and_after_a_larger_z(self, gamma_form, gamma_crit,
+                                                gamma_omega):
+        tol = mpf("1e-14")
+        z1, z2 = mpf("0.3") * self.unit, mpf("0.45") * self.unit
+        for ell in (0, 1):
+            alone = fresh_ray(gamma_form, gamma_crit, ell, self.d)
+            after = fresh_ray(gamma_form, gamma_crit, ell, self.d)
+            stokes.ray_integral(after, gamma_omega, z2, tol)
+            assert (stokes.ray_integral(after, gamma_omega, z1, tol)
+                    == stokes.ray_integral(alone, gamma_omega, z1, tol))
+
+    def test_pole_tail_alone_and_after_a_larger_z(self, gamma_form, gamma_crit,
+                                                  gamma_omega):
+        # the d = 0 backward ray ends in the simple pole at 0; z = 0.45
+        # lays its tail further than z = 0.3 reads on its own
+        ray = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0).backward
+        assert ray.terminal.pole_order == 1
+        z1, z2 = mpf("0.3"), mpf("0.45")
+        alone = fresh_ray(gamma_form, gamma_crit, ray.ell)
+        after = fresh_ray(gamma_form, gamma_crit, ray.ell)
+        stokes.ray_integral(after, gamma_omega, z2)
+        assert (stokes.ray_integral(after, gamma_omega, z1)
+                == stokes.ray_integral(alone, gamma_omega, z1))
+
+    def test_grown_ray_equals_a_longer_trace(self, gamma_form, gamma_crit,
+                                             gamma_omega):
+        controls = TraceControls(rk_tol=mpf("1e-8"), flow_reach=10)
+        grown = fresh_ray(gamma_form, gamma_crit, 0, self.d, controls)
+        traced = len(grown.samples)
+        for r in ("0.3", "0.45"):
+            stokes.ray_integral(grown, gamma_omega, mpf(r) * self.unit)
+        assert len(grown.samples) > traced
+        reach = grown.flow_progress(grown.samples[-1][2])
+        longer = fresh_ray(gamma_form, gamma_crit, 0, self.d,
+                           TraceControls(rk_tol=mpf("1e-8"), flow_reach=reach))
+        assert longer.samples == grown.samples
+
+    def test_csv_lists_the_first_trace(self, gamma_form, gamma_crit,
+                                       gamma_omega, monkeypatch):
+        monkeypatch.setattr(betti._traced_ray, "cache", {})
+        path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, self.d,
+                                   TraceControls(rk_tol=mpf("1e-8")))
+        text = path.to_csv()
+        traced = len(path.forward.samples)
+        stokes.ray_integral(path.forward, gamma_omega, mpf("0.45") * self.unit)
+        assert len(path.forward.samples) > traced
+        assert path.to_csv() == text
+
+    def test_matrix_alone_and_after_a_larger_grid(self, gamma_form, gamma_crit,
+                                                  monkeypatch):
+        controls = TraceControls(rk_tol=mpf("1e-8"))
+        small = [mpf(r) * self.unit for r in ("0.3", "0.33")]
+        large = [mpf(r) * self.unit for r in ("0.42", "0.45")]
+
+        def artifact(*grids):
+            monkeypatch.setattr(betti._traced_ray, "cache", {})
+            for grid in grids:
+                sm = stokes.sector_matrix(gamma_form, gamma_crit, self.d, grid,
+                                          asy_order=4, controls=controls)
+            return json.dumps(sm.to_json())
+
+        assert artifact(large, small) == artifact(small)
 
 
 class TestSectorialMatrix:

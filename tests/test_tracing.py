@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/tracing.py) still sees ray tracing.
+
+The tracer wraps only the functions whose `__module__` is their own
+module's, so a memo wrapper that lost its function's metadata would
+silently drop the per-layer metrics of the layer it wraps.
+"""
+
+import importlib.util
+import os
+
+from stokeswb import betti
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_ray_tracing(gamma_form, gamma_crit, monkeypatch):
+    # a cold memo, so the rays are traced under the tracer
+    monkeypatch.setattr(betti._traced_ray, "cache", {})
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.register_form(gamma_form)
+        betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[0] == "betti.trace_ray"]
+    assert any(s[4] and s[4].get("alpha_evals") for s in spans)
+    assert tracer.layer_metrics()["betti.rk_samples"]["value"] > 0
