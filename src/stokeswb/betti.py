@@ -173,17 +173,18 @@ def in_boundary_set(pole, arc, theta_k):
 
 @dataclass(frozen=True)
 class TraceControls:
-    seed_scale: object = mpf("1e-6")       # |f - c| at the seed / reference scale
     rk_tol: object = mpf("1e-14")          # local error target per step
-    max_arc_length: object = mpf("1e5")
-    capture_factor: object = mpf("0.1")    # trap radius / distance to nearest point
-    saddle_tol: object = mpf("1e-7")       # approach tolerance at foreign zeros
+    max_arc_length: object = mpf("1e5")    # arc length of the first trace
     # Re(e^{-id}(f-c)) where the first trace of an irregular tail ends;
     # sums grow the tail on demand, so no integral depends on it
     flow_reach: object = mpf(80)
-    chart_switch: object = None            # |x| beyond which the 1/x chart is used
-    spiral_tol: object = mpf("1e-8")       # straight-vs-spiral test at simple poles
-    max_steps: int = 200000                # RK steps of a ray, growth included
+
+
+_SEED_SCALE = mpf("1e-6")       # |f - c| at the seed / reference scale
+_CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
+_SADDLE_TOL = mpf("1e-7")       # approach tolerance at foreign zeros
+_SPIRAL_TOL = mpf("1e-8")       # straight-vs-spiral test at simple poles
+_MAX_STEPS = 200000             # RK steps of a ray, growth included
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class ThimbleRay:
         self.samples = []
         self.n_traced = None
         self.terminal = None
-        self.quadrature = None      # z-independent node data, laid by stokes
+        self.quadrature = None      # node sequence of the sums, laid by stokes
         self._state = None          # (x_chart_value, f, chart, s)
         self._h = None              # next step of an irregular tail
         self._steps = 0             # RK steps tried, growth included
@@ -259,26 +260,22 @@ class ThimbleRay:
         of = self.one_form
         finite = of.finite_special_points()
         self._finite_points = finite
-        ctl = self.controls
-        if ctl.chart_switch is not None:
-            self._switch_radius = mpf(ctl.chart_switch)
-        else:
-            big = max([abs(p) for p in finite] + [mpf(1)])
-            self._switch_radius = 4 * big + 4
+        # |x| beyond which the 1/x chart is used
+        big = max([abs(p) for p in finite] + [mpf(1)])
+        self._switch_radius = 4 * big + 4
         self._poles = list(of.poles)
         self._capture_radius = {}
-        pts = finite + ([mpc(0)] if of.has_infinity() else [])
         for idx, p in enumerate(of.poles):
             if p.location == INF:
                 others = [abs(1 / q) for q in finite if abs(q) > 0]
                 base = min(others) if others else mpf(1)
-                self._capture_radius[idx] = min(ctl.capture_factor * base,
+                self._capture_radius[idx] = min(_CAPTURE_FACTOR * base,
                                                 1 / (2 * self._switch_radius))
             else:
                 others = [abs(p.location - q) for q in finite
                           if abs(p.location - q) > 0]
                 base = min(others) if others else mpf(1)
-                self._capture_radius[idx] = ctl.capture_factor * base
+                self._capture_radius[idx] = _CAPTURE_FACTOR * base
 
     def _form_value(self, chart, val):
         return (self._form_inf if chart == INF else self._form_aff)(val)
@@ -293,7 +290,7 @@ class ThimbleRay:
     def _seed(self):
         m = self.one_form.zeros[self.j].order
         scale = self._reference_scale()
-        u_mag = ((m + 1) * self.controls.seed_scale * scale) ** (mpf(1) / (m + 1))
+        u_mag = ((m + 1) * _SEED_SCALE * scale) ** (mpf(1) / (m + 1))
         # stay well inside the convergence disk of the inverse series
         conv = self._series_radius()
         u_mag = min(u_mag, conv / 4)
@@ -347,27 +344,38 @@ class ThimbleRay:
 
     # -- main loop --
 
+    def _step(self, h, err_floor, h_floor):
+        """Append one accepted RK step from the current state; the next h.
+
+        h halves until the error is at most tol = rk_tol * max(|x|, err_floor)
+        or h <= h_floor; the next h doubles when the error was below tol / 32.
+        """
+        x, f, chart, s = self._state
+        while True:
+            self._steps += 1
+            if self._steps > _MAX_STEPS:
+                raise NoCapture("step budget exhausted")
+            x_new, err = self._ck_step(chart, x, h)
+            tol = mpf(self.controls.rk_tol) * max(abs(x), err_floor)
+            if err <= tol or h <= h_floor:
+                break
+            h *= mpf("0.5")
+        x, f = self._project(chart, x, f, x_new)
+        s += h
+        self.samples.append((s, self._affine(chart, x), f))
+        self._state = (x, f, chart, s)
+        return 2 * h if err < tol / 32 else h
+
     def _run(self):
         ctl = self.controls
-        x, f, chart, s = self._state
-        h = self._initial_step(chart, x)
+        x, _, chart, _ = self._state
+        h = self._step_cap(chart, x) / 8
         while True:
-            self._count_step()
-            if s > ctl.max_arc_length:
+            if self._state[3] > ctl.max_arc_length:
                 raise NoCapture("arc length budget exhausted")
-            x_new, err = self._ck_step(chart, x, h)
-            tol = mpf(ctl.rk_tol) * max(abs(x), mpf(1))
-            if err > tol and h > mpf("1e-30"):
-                h *= mpf("0.5")
-                continue
-            # accept
-            x_new, f_new = self._project(chart, x, f, x_new)
-            s_new = s + h
-            if err < tol / 32:
-                h *= mpf(2)
-            x, f, s = x_new, f_new, s_new
-            x_aff = self._affine(chart, x)
-            self.samples.append((s, x_aff, f))
+            h = self._step(h, mpf(1), mpf("1e-30"))
+            x, f, chart, s = self._state
+            x_aff = self.samples[-1][1]
             # chart management
             if chart != INF and abs(x) > self._switch_radius:
                 chart = INF
@@ -375,41 +383,30 @@ class ThimbleRay:
             elif chart == INF and abs(x) > 1 / self._switch_radius:
                 chart = "affine"
                 x = 1 / x
+            self._state = (x, f, chart, s)
             # saddle check at foreign zeros (own zero excluded near the seed)
             for jz, zero in enumerate(self.one_form.zeros):
                 if zero.location == INF:
-                    if chart == INF and abs(x) < ctl.saddle_tol:
+                    if chart == INF and abs(x) < _SADDLE_TOL:
                         raise SaddleEncounter(f"approached zero {jz} at infinity")
                     continue
                 if jz == self.j and s < 10 * abs(self.u_seed):
                     continue
                 ref = max(abs(zero.location), mpf(1))
-                if abs(x_aff - zero.location) < ctl.saddle_tol * ref:
+                if abs(x_aff - zero.location) < _SADDLE_TOL * ref:
                     raise SaddleEncounter(f"approached zero {jz}")
             # capture checks
             hit = self._check_capture(chart, x, f, s)
             if hit is not None:
-                self._state = (x, f, chart, s)
                 self.terminal = hit
                 if hit.pole_order >= 2:
                     self._h = self._inner_step(chart, x)
                     while self.flow_progress(self._state[1]) < ctl.flow_reach:
                         self.grow()
                     self._finish_irregular()
-                else:
-                    self._finish_simple()
                 self.n_traced = len(self.samples)
                 return
-            self._state = (x, f, chart, s)
             h = min(h, self._step_cap(chart, x))
-
-    def _count_step(self):
-        self._steps += 1
-        if self._steps > self.controls.max_steps:
-            raise NoCapture("step budget exhausted")
-
-    def _initial_step(self, chart, x):
-        return self._step_cap(chart, x) / 8
 
     def _step_cap(self, chart, x):
         x_aff = self._affine(chart, x)
@@ -443,7 +440,6 @@ class ThimbleRay:
         return x5, abs(x5 - x4)
 
     def _check_capture(self, chart, x, f, s):
-        ctl = self.controls
         for idx, pole in enumerate(self._poles):
             radius = self._capture_radius[idx]
             if pole.location == INF:
@@ -461,9 +457,10 @@ class ThimbleRay:
                 if not inbound:
                     continue
                 ratio = self._unit / pole.residue
-                spiral = abs(mpmath.im(ratio)) > mpf(ctl.spiral_tol) * abs(ratio)
+                spiral = abs(mpmath.im(ratio)) > _SPIRAL_TOL * abs(ratio)
                 return RayTerminal(idx, 1, "spiral" if spiral else "straight",
-                                   mpmath.arg(x_tilde), self._affine(chart, x), f)
+                                   mpmath.arg(x_tilde), self._affine(chart, x), f,
+                                   in_boundary=True)
             return RayTerminal(idx, pole.order, "irregular",
                                mpmath.arg(x_tilde), self._affine(chart, x), f)
         return None
@@ -477,23 +474,9 @@ class ThimbleRay:
         """Append the next sample of an irregular tail; False on other rays."""
         if self.terminal is None or self.terminal.pole_order < 2:
             return False
-        ctl = self.controls
-        x, f, chart, s = self._state
-        h = self._h
-        while True:
-            self._count_step()
-            x_new, err = self._ck_step(chart, x, h)
-            tol = mpf(ctl.rk_tol) * max(abs(x), mpf("1e-6"))
-            if err <= tol or h <= mpf("1e-40"):
-                break
-            h *= mpf("0.5")
-        x, f = self._project(chart, x, f, x_new)
-        s += h
-        self.samples.append((s, self._affine(chart, x), f))
-        if err < tol / 32:
-            h *= 2
+        h = self._step(self._h, mpf("1e-6"), mpf("1e-40"))
+        x, _, chart, _ = self._state
         self._h = min(h, self._inner_step(chart, x))
-        self._state = (x, f, chart, s)
         return True
 
     def _inner_step(self, chart, x):
@@ -528,14 +511,6 @@ class ThimbleRay:
         theta = mpmath.arg(w)
         ok = in_boundary_set(pole, (self.d, self.d), theta)
         self.terminal = replace(term, boundary_angle=theta, in_boundary=ok)
-
-    def _finish_simple(self):
-        """Straighten the tail: final segment runs to the pole itself."""
-        term = self.terminal
-        pole = self._poles[term.pole_index]
-        self.terminal = replace(
-            term, in_boundary=mpmath.re(
-                mpmath.exp(-1j * self.d) * pole.residue) < 0)
 
     # -- diagnostics --
 

@@ -66,6 +66,22 @@ def _real(text, what):
     return value
 
 
+def _positive(text, what):
+    """A finite positive real from a decimal string."""
+    value = _real(text, what)
+    if not value > 0:
+        raise MalformedInput(f"{what}: {text!r} is not positive")
+    return value
+
+
+def _zero_order(one_form, j):
+    """Order of zero j of the form, which must have one."""
+    if not 0 <= j < len(one_form.zeros):
+        raise MalformedInput(f"--zero {j}: the form has {len(one_form.zeros)} "
+                             f"zero(s), numbered from 0")
+    return one_form.zeros[j].order
+
+
 def _num(value):
     """Parse a JSON number or decimal string or [re, im] pair."""
     if isinstance(value, list):
@@ -172,7 +188,7 @@ def cmd_analyze(args):
     lat = derham.period_lattice(one_form)
     support = lattice.support_radius(lat) if lat.rank else None
     crit = _critical_from_spec(one_form, data, lat)
-    radius = _real(args.radius, "--radius")
+    radius = _positive(args.radius, "--radius")
     nongen = lattice.nongeneric_directions(crit.representatives, lat, radius) \
         if lat.rank else []
     report = {
@@ -210,6 +226,9 @@ def cmd_sum(args):
 def cmd_formal_xi(args):
     data = _load_json(args.spec)
     one_form = _one_form_from_spec(data)
+    m = _zero_order(one_form, args.zero)
+    if args.order < m:
+        raise MalformedInput(f"--order {args.order}: below {m}, the order of the zero")
     omega = RationalForm(tuple(_spec_field(data, "omega_P", _list_of(_num), [1])),
                          tuple(_spec_field(data, "omega_Q", _list_of(_num), [0, 1])))
     series_list = derham.formal_comparison(omega, one_form, args.zero, args.order)
@@ -223,11 +242,12 @@ def cmd_formal_xi(args):
 def cmd_thimble(args):
     data = _load_json(args.spec)
     one_form = _one_form_from_spec(data)
+    _zero_order(one_form, args.zero)
     lat = derham.period_lattice(one_form)
     crit = _critical_from_spec(one_form, data, lat)
     d = _real(args.direction, "--direction")
-    gen = lattice.is_generic(d, crit.representatives, lat,
-                             _real(args.radius, "--radius")) \
+    radius = _positive(args.radius, "--radius")
+    gen = lattice.is_generic(d, crit.representatives, lat, radius) \
         if lat.rank else lattice.GenericityReport(True, None)
     path = betti.trace_thimble(one_form, crit, args.zero, args.ray, d,
                                generic_check=gen)

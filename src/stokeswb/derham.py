@@ -344,10 +344,6 @@ class OneForm:
         pts += [p.location for p in self.poles if p.location != INF]
         return pts
 
-    def has_infinity(self):
-        return any(z.location == INF for z in self.zeros) or \
-            any(p.location == INF for p in self.poles)
-
     def report(self):
         return {
             "zeros": [{"location": "infinity" if z.location == INF

@@ -1,18 +1,19 @@
 """Exponential period integrals, sectorial matrices, and Stokes factors.
 
-The contour integral of exp(-f/z) * omega over a traced thimble is
-evaluated from z-independent quadrature nodes (position, primitive,
-weight) kept on the ray: across the local-coordinate gap at the zero
-and along the straightened tail into a simple pole, once per ray, and
-along the sampled flow line, once per chord span.  f at the nodes comes
-from the ray's closed-form primitive (`derham.Primitive`), and the
-values of omega are kept per node, so one trace serves a whole z grid
-at one exp per node.
+The contour integral of exp(-f/z) * omega along a traced ray is one sum
+over one sequence of z-independent quadrature nodes kept on the ray, in
+flow order: the local-coordinate gap from the zero to the seed, the
+chords along the sampled flow line, and, on a ray that ends in a simple
+pole, the straightened tail into the pole.  f at the nodes comes from
+the ray's closed-form primitive (`derham.Primitive`), and each part
+keeps w * omega at its nodes per omega, so one trace serves a whole z
+grid at one exp per node.  The gap and the tail do not depend on the
+chord span, so every flow-line table of the ray shares them.
 
-A flow-line table holds only the nodes its sums read.  Its chord span
-in f is the largest power of two at which the 12-point Gauss-Legendre
-remainder for exp(-f/z) stays below 1e-6 tol (`_quantized_df`), and its
-chords are laid, and omega evaluated on them, only as far along the ray
+The sequence holds only the nodes its sums read.  The chord span in f
+is the largest power of two at which the 12-point Gauss-Legendre
+remainder for exp(-f/z) stays below 1e-6 tol (`_quantized_df`), and
+nodes are laid, and omega evaluated on them, only as far along the ray
 as a sum has read: up to where Re(f/z) passes the decay cut-off of the
 z at hand, growing an irregular tail as they go.  A later z reads on
 from there, so a result does not depend on which z ran before.
@@ -22,17 +23,18 @@ matrix transition data over the exponential dictionary supplied by the
 period lattice.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from . import betti, derham, gevrey, summation
-from .betti import ThimblePath, TraceControls, local_normalizer
+from . import betti, derham, summation
+from .betti import ThimblePath, local_normalizer
 from .derham import INF, RationalForm
 from .errors import FitResidualTooLarge, TailNotDecaying
 from .gevrey import GevreySeries
-from .lattice import ExpSum, Lattice
+from .lattice import ExpSum
 from .scalar import legendre_nodes, to_mpc
 
 
@@ -45,47 +47,90 @@ _TAIL_PANELS_PER_UNIT, _TAIL_NODES = 2, 10
 
 
 # ---------------------------------------------------------------------------
-# quadrature node tables along traced rays
+# quadrature nodes along traced rays
 # ---------------------------------------------------------------------------
 
-class _RayTable:
-    """Flow-line nodes of one traced ray at one chord span df_max.
+class _Nodes:
+    """One part of a ray's node sequence, laid lazily in flow order.
 
-    Nodes (x, f, w, in_infinity_chart) lie on the sampled polyline: w
-    includes the Gauss-Legendre weight and the complex chord element,
-    so sum w * omega(x) * exp(-f/z) is the contour integral over the
-    sampled part of the ray.  A chord may run over several consecutive
-    samples, as long as it spans at most df_max of the primitive and
-    stays within the tracer's step cap at its first sample (in the 1/x
-    chart also within 1/5 of the distance to infinity): the disk it
-    stays in holds no special point, so the chord integrates the same
-    as the traced path (Cauchy).  A sample interval that spans more
-    than df_max is cut into chunks of at most df_max, so the exponential
-    stays resolved to the tolerance df_max was chosen for.  f at each
-    node is the ray's closed-form primitive, chained from node to node;
-    `drift` is the largest gap between that chain, closed at the end of
-    each chord, and the traced f there.
+    A node is (point, f, w, chart): the point in the chart where omega
+    is evaluated, the primitive f there, and w, the Gauss-Legendre
+    weight times the path element in that chart, so the sum of
+    w * omega(point) * exp(-f/z) over the nodes is the contour integral
+    over the part.  `lay` appends the next nodes and returns False once
+    the part is covered.
+    """
 
-    Chords are laid lazily, in flow order: `terms` lays the next chord
-    only once a sum has read every node laid so far, and omega is
-    evaluated once per laid node.  The table therefore ends with the
-    chord in which the furthest sum stopped at its decay cut-off (see
-    `_exp_sum`).  A chord that reaches the last sample of an irregular
-    tail grows the ray (`ThimbleRay.grow`), so no chord is cut at a
-    traced end: the chords are a prefix of the one greedy sequence over
-    the ray's samples, and a sum does not depend on what ran before it.
+    def __init__(self, ray):
+        self.ray = ray
+        self.nodes = []
+        self._weighted = {}      # omega -> [w * omega(point)] over laid nodes
+
+    def terms(self, omega):
+        """(node, w * omega(point)) in flow order, laid as they are read."""
+        vals = self._weighted.setdefault(omega, [])
+        i = 0
+        while i < len(self.nodes) or self.lay():
+            if i == len(vals):
+                new = self.nodes[i:]
+                forms = {chart: omega.in_chart(chart) for chart in {n[3] for n in new}}
+                vals.extend(w * forms[chart](point) for point, _, w, chart in new)
+            yield self.nodes[i], vals[i]
+            i += 1
+
+
+class _SeedGap(_Nodes):
+    """From the zero to the seed point in the local coordinate u, where
+    f = c + u^(m+1)/(m+1) exactly; laid in one batch."""
+
+    def lay(self):
+        if self.nodes:
+            return False
+        ray, local = self.ray, self.ray.local
+        m = ray.one_form.zeros[ray.j].order
+        c = ray.crit.values[ray.j]
+        for p in range(_GAP_PANELS):
+            a = ray.u_seed * mpf(p) / _GAP_PANELS
+            b = ray.u_seed * mpf(p + 1) / _GAP_PANELS
+            mid, half = (a + b) / 2, (b - a) / 2
+            for xg, wg in legendre_nodes(_GAP_NODES):
+                u = mid + half * xg
+                self.nodes.append((local.point(u), c + u ** (m + 1) / (m + 1),
+                                   wg * half * local.dpoint(u), local.chart))
+        return True
+
+
+class _RayTable(_Nodes):
+    """Flow-line chords of one traced ray at one chord span df_max.
+
+    The nodes lie on the sampled polyline, in the 1/x chart where both
+    ends of a chord's first sample interval lie beyond the tracer's
+    switch radius.  A chord may run over several consecutive samples,
+    as long as it spans at most df_max of the primitive and stays
+    within the tracer's step cap at its first sample (in the 1/x chart
+    also within 1/5 of the distance to infinity): the disk it stays in
+    holds no special point, so the chord integrates the same as the
+    traced path (Cauchy).  A sample interval that spans more than df_max
+    is cut into chunks of at most df_max, so the exponential stays
+    resolved to the tolerance df_max was chosen for.  f at each node is
+    the ray's closed-form primitive, chained from node to node; `drift`
+    is the largest gap between that chain, closed at the end of each
+    chord, and the traced f there.
+
+    `lay` lays the next chord of the one greedy sequence over the ray's
+    samples.  A chord that reaches the last sample of an irregular tail
+    grows the ray (`ThimbleRay.grow`), so no chord is cut at a traced
+    end, and the chords a sum reads do not depend on what ran before it.
     """
 
     def __init__(self, ray, df_max):
-        self.ray = ray
+        super().__init__(ray)
         self.df_max = mpf(df_max)
-        self.nodes = []          # (x, f, w, in_infinity_chart)
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
         self._consumed = 1       # ray.samples[0] is the seed
-        self._weighted = {}      # omega -> [w * omega(x)] over laid nodes
 
-    def lay_chord(self):
+    def lay(self):
         """Lay the next chord greedily; False once a finite ray is covered."""
         ray = self.ray
         samples = ray.samples
@@ -105,8 +150,9 @@ class _RayTable:
         start = self._consumed - 1
         _, x0, f0 = samples[start]
         use_inf = in_inf(start)
+        chart = INF if use_inf else "affine"
         a_pt = 1 / x0 if use_inf else x0
-        cap = ray._step_cap(INF if use_inf else "affine", a_pt)
+        cap = ray._step_cap(chart, a_pt)
         if use_inf:
             cap = min(cap, abs(a_pt) / 5)
         end = start + 1
@@ -133,44 +179,59 @@ class _RayTable:
                 r_here = prim.rational(x_here)
                 f_run += r_here - r_prev + prim.log_increment(prev, x_here)
                 prev, r_prev = x_here, r_here
-                self.nodes.append((x_here, f_run, wg * half, use_inf))
+                self.nodes.append((node, f_run, wg * half, chart))
         f_end = f_run + prim.rational(x1) - r_prev + prim.log_increment(prev, x1)
         self.drift = max(self.drift, abs(f_end - f1))
         return True
 
-    def terms(self, omega):
-        """(f, w * omega(x)) over the nodes in flow order, laid as they are read."""
-        vals = self._weighted.setdefault(omega, [])
-        i = 0
-        while i < len(self.nodes) or self.lay_chord():
-            if i == len(vals):
-                form_inf = omega.at_infinity()
-                vals.extend(w * (form_inf(1 / x) if use_inf else omega(x))
-                            for x, _, w, use_inf in self.nodes[i:])
-            yield self.nodes[i][1], vals[i]
-            i += 1
 
-    def integral(self, omega, z, stop_decay):
-        """sum over nodes of w * omega * exp(-f/z) to the cut-off, and the
-        index of the first node past it (see `_exp_sum`)."""
-        return _exp_sum(self.terms(omega), z, stop_decay)
+class _PoleTail(_Nodes):
+    """The straightened segment from the capture point into a simple pole p.
+
+    Parametrized by x = p + x0 exp(-tau), x0 the capture point minus p:
+    along it the pole's own log term of the primitive is exactly
+    -residue * tau, so f is exact at every node.  Each `lay` adds one
+    panel of 1/_TAIL_PANELS_PER_UNIT in tau; the tail has no end.
+    """
+
+    def __init__(self, ray):
+        super().__init__(ray)
+        term, prim = ray.terminal, ray.primitive
+        self._pole = to_mpc(ray._poles[term.pole_index].location)
+        self._k = next(i for i, pole in enumerate(prim.poles) if pole[0] == self._pole)
+        self._x_cap = to_mpc(term.capture_point)
+        self._f_cap = to_mpc(term.f_capture) - prim.rational(self._x_cap)
+
+    def lay(self):
+        prim = self.ray.primitive
+        residue = prim.poles[self._k][1]
+        x0 = self._x_cap - self._pole
+        a = mpf(len(self.nodes) // _TAIL_NODES) / _TAIL_PANELS_PER_UNIT
+        b = a + 1 / mpf(_TAIL_PANELS_PER_UNIT)
+        mid, half = (a + b) / 2, (b - a) / 2
+        for xg, wg in legendre_nodes(_TAIL_NODES):
+            tau = mid + half * xg
+            dx = x0 * mpmath.exp(-tau)
+            x_here = self._pole + dx
+            f = (self._f_cap + prim.rational(x_here) - residue * tau
+                 + prim.log_increment(self._x_cap, x_here, skip=self._k))
+            self.nodes.append((x_here, f, -wg * half * dx, "affine"))
+        return True
 
 
 class _RayQuadrature:
-    """z-independent quadrature data of one traced ray, kept on the ray.
+    """The node sequence of one traced ray, kept on the ray.
 
-    The local-coordinate gap from the zero to the seed point and the
-    straightened tail into a simple pole do not depend on the chord
-    span, so one set per omega serves every flow-line table of the ray.
-    The tables are keyed by their span df_max.
+    The seed gap and the pole tail do not depend on the chord span, so
+    one of each serves every flow-line table of the ray; the tables are
+    keyed by their span df_max.
     """
 
     def __init__(self, ray):
         self.ray = ray
+        self.gap = _SeedGap(ray)
         self.tables = {}
-        self._seed_gap = {}      # omega -> [(f, weight * omega * x'(u))]
-        self.tail_nodes = []     # (x, f, w) along the straightened pole segment
-        self._tail_weighted = {}
+        self.tail = _PoleTail(ray) if ray.terminal.pole_order == 1 else None
 
     @classmethod
     def of(cls, ray):
@@ -178,80 +239,18 @@ class _RayQuadrature:
             ray.quadrature = cls(ray)
         return ray.quadrature
 
-    def table(self, df_max):
+    def parts(self, df_max):
+        """The gap, the chords at span df_max and the tail, in flow order."""
         df_max = mpf(df_max)
         if df_max not in self.tables:
             self.tables[df_max] = _RayTable(self.ray, df_max)
-        return self.tables[df_max]
-
-    # -- from the zero to the seed point, in the local coordinate --
-
-    def seed_gap(self, omega):
-        """[(f, weight * omega(x(u)) x'(u))] over the gap to the seed."""
-        out = self._seed_gap.get(omega)
-        if out is None:
-            ray = self.ray
-            local = ray.local
-            m = ray.one_form.zeros[ray.j].order
-            c = ray.crit.values[ray.j]
-            omega_chart = omega.in_chart(local.chart)
-            u_end = ray.u_seed
-            out = self._seed_gap[omega] = []
-            for p in range(_GAP_PANELS):
-                a = u_end * mpf(p) / _GAP_PANELS
-                b = u_end * mpf(p + 1) / _GAP_PANELS
-                mid, half = (a + b) / 2, (b - a) / 2
-                for xg, wg in legendre_nodes(_GAP_NODES):
-                    u = mid + half * xg
-                    out.append((c + u ** (m + 1) / (m + 1),
-                                wg * half * omega_chart(local.point(u))
-                                * local.dpoint(u)))
-        return out
-
-    # -- straightened tail into a simple pole, log-parametrized --
-
-    def ensure_tail(self, tau_max):
-        """Lay the panels that start before tau_max; their node count."""
-        n = int(mpmath.ceil(tau_max * _TAIL_PANELS_PER_UNIT)) * _TAIL_NODES
-        term = self.ray.terminal
-        prim = self.ray.primitive
-        p = to_mpc(self.ray._poles[term.pole_index].location)
-        k = next(i for i, pole in enumerate(prim.poles) if pole[0] == p)
-        residue = prim.poles[k][1]
-        x_cap = to_mpc(term.capture_point)
-        x0 = x_cap - p
-        f_cap = to_mpc(term.f_capture) - prim.rational(x_cap)
-        while len(self.tail_nodes) < n:
-            a = mpf(len(self.tail_nodes) // _TAIL_NODES) / _TAIL_PANELS_PER_UNIT
-            b = a + 1 / mpf(_TAIL_PANELS_PER_UNIT)
-            mid, half = (a + b) / 2, (b - a) / 2
-            for xg, wg in legendre_nodes(_TAIL_NODES):
-                tau = mid + half * xg
-                dx = x0 * mpmath.exp(-tau)
-                x_here = p + dx
-                # along x = p + x0 exp(-tau) the pole's own log term is
-                # exactly -residue * tau
-                f = (f_cap + prim.rational(x_here) - residue * tau
-                     + prim.log_increment(x_cap, x_here, skip=k))
-                self.tail_nodes.append((x_here, f, -wg * half * dx))
-        return n
-
-    def tail_terms(self, omega):
-        """(f, w * omega(x)) along the tail, a panel laid as a sum reads on."""
-        vals = self._tail_weighted.setdefault(omega, [])
-        i = 0
-        while True:
-            if i == len(self.tail_nodes):
-                self.ensure_tail(mpf(i // _TAIL_NODES + 1) / _TAIL_PANELS_PER_UNIT)
-            if i == len(vals):
-                vals.extend(w * omega(x) for x, _, w in self.tail_nodes[i:])
-            yield self.tail_nodes[i][1], vals[i]
-            i += 1
+        return [p for p in (self.gap, self.tables[df_max], self.tail)
+                if p is not None]
 
 
-def _exp_sum(terms, z, stop_decay=None):
-    """sum of c * exp(-f/z) over (f, c) pairs taken in flow order, and the
-    index of the first pair past the cut-off (None if none is).
+def _exp_sum(terms, z, stop_decay):
+    """sum of c * exp(-f/z) over (node, c) pairs taken in flow order, and
+    the first node past the cut-off (None if the nodes end before it).
 
     The running primitive grows monotonically along the ray, so once
     Re(f/z) exceeds `stop_decay` the remaining nodes are negligible
@@ -261,11 +260,11 @@ def _exp_sum(terms, z, stop_decay=None):
     total = mpc(0)
     past = None
     deep = 0
-    for i, (f, c) in enumerate(terms):
-        e = f * mz
-        if stop_decay is not None and -e.real > stop_decay:
+    for node, c in terms:
+        e = node[1] * mz
+        if -e.real > stop_decay:
             if past is None:
-                past = i
+                past = node
             deep += 1
             if deep > 3:
                 break
@@ -275,32 +274,8 @@ def _exp_sum(terms, z, stop_decay=None):
 
 
 # ---------------------------------------------------------------------------
-# the three-part contour integral over one ray
+# the contour integral over one ray
 # ---------------------------------------------------------------------------
-
-def _simple_pole_tail(ray, omega, z, stop_decay):
-    """Tail along the straightened segment into a simple pole.
-
-    Parametrized by x = p + x0 * exp(-tau); the primitive increment per
-    unit tau tends to -residue, so the integrand decays at rate
-    -Re(residue/z) minus the pole order of omega at p (if any).  The
-    nodes are z-independent and kept once per ray; like the flow-line
-    table, the tail is laid as far as a sum reads, and each sum stops
-    at its own decay cut-off.
-    """
-    pole = ray._poles[ray.terminal.pole_index]
-    z = to_mpc(z)
-    if pole.location == INF:
-        raise AssertionError("simple-pole tail at infinity is handled in-chart")
-    p = to_mpc(pole.location)
-    # pole order of omega at p decides the growth of the non-exponential part
-    n_om, _ = derham._laurent_series(omega, p, order_hint=1)
-    rate = -mpmath.re(pole.residue / z) - n_om + 1
-    if rate <= mpf("0.05"):
-        raise TailNotDecaying(
-            f"simple-pole tail rate {rate} at z={z} (omega pole order {n_om})")
-    return _exp_sum(_RayQuadrature.of(ray).tail_terms(omega), z, stop_decay)[0]
-
 
 def _quantized_df(z_abs, tol):
     """Chord span in f: the largest power of two resolved to tol at |z|.
@@ -338,53 +313,53 @@ def _cutoffs(ray, z, tol):
 def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     """Integral of exp(-f/z) omega from the zero along one outgoing ray.
 
-    Splits into the local-coordinate gap, the traced polyline, and the
-    pole tail.  The polyline part reads the ray's node table of chord
-    span df_max, by default the largest span `_quantized_df` allows at
-    this |z| and tol.  Its reach is set by the sum alone: chords are
-    laid, and an irregular tail grown, up to where Re(f/z) passes the
-    decay cut-off of `_cutoffs`, past which no node counts.  On an
-    irregular tail the analytic remainder bound at the first node past
-    the cut-off must be below tol_abs.
+    One sum over the ray's node sequence in flow order: the
+    local-coordinate gap, the chords of span df_max (by default the
+    largest span `_quantized_df` allows at this |z| and tol), and on a
+    ray into a simple pole the straightened tail.  Its reach is set by
+    the sum alone: nodes are laid, and an irregular tail grown, up to
+    where Re(f/z) passes the decay cut-off of `_cutoffs`, past which no
+    node counts.  A simple-pole tail must decay at a rate above 0.05
+    per unit of its parameter; on an irregular tail the analytic
+    remainder bound at the first node past the cut-off must be below
+    tol_abs.
     """
     z = to_mpc(z)
-    d = ray.d
-    rate = mpmath.cos(d - mpmath.arg(z)) / abs(z)
+    rate = mpmath.cos(ray.d - mpmath.arg(z)) / abs(z)
     if rate <= 0:
-        raise TailNotDecaying(f"z={z} outside the half-plane of direction {d}")
+        raise TailNotDecaying(f"z={z} outside the half-plane of direction {ray.d}")
     term = ray.terminal
+    if term.pole_order == 1:
+        pole = ray._poles[term.pole_index]
+        if pole.location == INF:
+            raise AssertionError("no straightened tail into a simple pole at infinity")
+        # along x = p + x0 exp(-tau), exp(-f/z) goes like exp(tau residue/z)
+        # and omega like exp((n_om - 1) tau), n_om its pole order at p
+        n_om, _ = derham._laurent_series(omega, to_mpc(pole.location), order_hint=0)
+        tail_rate = -mpmath.re(pole.residue / z) - n_om + 1
+        if tail_rate <= mpf("0.05"):
+            raise TailNotDecaying(f"simple-pole tail rate {tail_rate} at z={z} "
+                                  f"(omega pole order {n_om})")
     tol_abs, stop_decay = _cutoffs(ray, z, tol)
     if df_max is None:
         df_max = _quantized_df(abs(z), tol)
-    quad = _RayQuadrature.of(ray)
-    table = quad.table(df_max)
-    gap, _ = _exp_sum(quad.seed_gap(omega), z)
-    line, past = table.integral(omega, z, stop_decay)
+    parts = _RayQuadrature.of(ray).parts(df_max)
+    total, past = _exp_sum(chain.from_iterable(p.terms(omega) for p in parts),
+                           z, stop_decay)
     if term.pole_order == 1:
-        return gap + line + _simple_pole_tail(ray, omega, z, stop_decay)
-    # remainder past the cut-off: M * exp(-s * rate - Re(c/z)) / rate
-    x_past, f_past = table.nodes[past][:2]
-    m_tail = _tail_magnitude(ray, omega, x_past)
+        return total
+    # remainder past the cut-off: M * exp(-s * rate - Re(c/z)) / rate, with
+    # M a safety bound for |omega/alpha| (a function: the same in each chart)
+    point, f_past, _, chart = past
+    m_tail = 4 * max(abs(omega.in_chart(chart)(point) / ray._form_value(chart, point)),
+                     mpf("1e-30"))
     c = ray.crit.values[ray.j]
     exponent = ray.flow_progress(f_past) * rate + mpmath.re(c / z)
     bound = m_tail * mpmath.exp(-exponent) / rate
     if bound > tol_abs:
         raise TailNotDecaying(f"irregular tail bound {mpmath.nstr(bound, 3)} "
                               f"above {mpmath.nstr(tol_abs, 3)} at z={z}")
-    return gap + line
-
-
-def _tail_magnitude(ray, omega, x_end):
-    """Safety bound for |omega/alpha| on the tail beyond x_end."""
-    of = ray.one_form
-    term = ray.terminal
-    pole = of.poles[term.pole_index]
-    if pole.location == INF:
-        v = 1 / x_end
-        val = abs(omega.at_infinity()(v) / of.form.at_infinity()(v))
-    else:
-        val = abs(omega(x_end) / of.form(x_end))
-    return 4 * max(val, mpf("1e-30"))
+    return total
 
 
 def path_integral_exp(path, omega, z, tol=mpf("1e-12")):
@@ -434,7 +409,6 @@ class SectorialMatrix:
                 for r in range(self.dim)]
 
     def to_json(self):
-        import json
         return {
             "direction": mpmath.nstr(mpf(self.direction), 25),
             "z_grid": [[mpmath.nstr(to_mpc(z).real, 25),

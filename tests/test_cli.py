@@ -244,6 +244,23 @@ class TestErrorContract:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "branch_paths" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["thimble", "--direction", "0", "--zero", "3"],
+        ["thimble", "--direction", "0", "--zero", "-1"],
+        ["thimble", "--direction", "0", "--radius", "0"],
+        ["formal-xi", "--zero", "2"],
+        ["formal-xi", "--zero", "-1"],
+        ["formal-xi", "--order", "0"],
+        ["analyze", "--radius", "-1"]])
+    def test_out_of_range_option_exit_1(self, tmp_path, capsys, argv):
+        # the Gamma form has one simple zero
+        out = tmp_path / "out"
+        assert run_cli([argv[0], gamma_spec(tmp_path), *argv[1:],
+                        "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, code", [
         (MalformedInput, 1), (NotOneForm, 2), (DegenerateLattice, 3),
         (ContinuationDiverged, 4), (DivergentLaplace, 4), (PathThroughPole, 1),

@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import pytest
 import mpmath
@@ -78,7 +79,7 @@ def lay_traced(table):
     """Lay chords over the samples of the ray's first trace."""
     end = table.ray.n_traced - 1
     while not table.chords or table.chords[-1][1] < end:
-        assert table.lay_chord()
+        assert table.lay()
     return end
 
 
@@ -127,12 +128,14 @@ class TestNodeTable:
                                         gamma_thimble):
         ray = gamma_thimble.backward
         assert ray.terminal.pole_order == 1
-        quad = stokes._RayQuadrature.of(ray)
+        tail = stokes._RayQuadrature.of(ray).tail
         # the memoized ray may carry a deeper tail from earlier sums; its
         # nodes through tau = 4 are the same
-        last = quad.ensure_tail(4) - 1
+        last = 4 * stokes._TAIL_PANELS_PER_UNIT * stokes._TAIL_NODES - 1
+        while len(tail.nodes) <= last:
+            tail.lay()
         x_cap, f_cap = ray.terminal.capture_point, ray.terminal.f_capture
-        for x, f, _ in (quad.tail_nodes[0], quad.tail_nodes[last]):
+        for x, f, _, _ in (tail.nodes[0], tail.nodes[last]):
             with mp.workprec(mp.prec + 32):
                 ref = f_cap + mpmath.quad(gamma_form.form, [x_cap, x])
             assert abs(f - ref) < mpf("1e-60") * abs(ref)
@@ -158,7 +161,7 @@ class TestNodeTable:
         def sum_at(z):
             _, stop_decay = stokes._cutoffs(ray, z, mpf("1e-12"))
             monkeypatch.setattr(RationalForm, "__call__", counted)
-            table.integral(gamma_omega, z, stop_decay)
+            stokes._exp_sum(table.terms(gamma_omega), z, stop_decay)
             monkeypatch.setattr(RationalForm, "__call__", plain)
 
         sum_at(mpf("0.2"))
@@ -167,6 +170,35 @@ class TestNodeTable:
         assert len(ray.samples) > traced
         assert len(table.nodes) > first
         assert len(calls) == len(table.nodes)
+
+    def test_one_sequence_per_ray(self, gamma_form, gamma_crit, gamma_omega,
+                                  monkeypatch):
+        # the d = 0 backward ray ends in the simple pole at 0: two z with
+        # different chord spans share its seed gap and pole tail, and omega
+        # is evaluated once per node laid over gap, chords and tail
+        ray = fresh_ray(gamma_form, gamma_crit, 1)
+        assert ray.terminal.pole_order == 1
+        tol, zs = mpf("1e-12"), (mpf("0.1"), mpf("0.45"))
+        assert len({stokes._quantized_df(z, tol) for z in zs}) == 2
+        calls = []
+        plain = RationalForm.__call__
+        alpha = (gamma_form.form, gamma_form.form.at_infinity())
+
+        def counted(form, x):
+            if form not in alpha:
+                calls.append(x)
+            return plain(form, x)
+
+        monkeypatch.setattr(RationalForm, "__call__", counted)
+        for z in zs:
+            stokes.ray_integral(ray, gamma_omega, z, tol)
+        monkeypatch.setattr(RationalForm, "__call__", plain)
+        quad = ray.quadrature
+        assert len(quad.tables) == 2
+        assert len(quad.gap.nodes) == stokes._GAP_PANELS * stokes._GAP_NODES
+        assert quad.tail.nodes
+        chords = sum(len(table.nodes) for table in quad.tables.values())
+        assert len(calls) == len(quad.gap.nodes) + chords + len(quad.tail.nodes)
 
     def test_span_from_the_tolerance(self):
         # the largest power of two whose 12-point Gauss remainder for
@@ -197,9 +229,10 @@ class TestNodeTable:
         assert len(table.nodes) > len(after.quadrature.tables[span].nodes)
         assert traced_end + 1 == len(alone.samples) == len(after.samples)
         _, stop_decay = stokes._cutoffs(full, z, tol)
-        seed_gap = stokes._RayQuadrature.of(full).seed_gap(gamma_omega)
-        assert (stokes._exp_sum(seed_gap, z)[0]
-                + table.integral(gamma_omega, z, stop_decay)[0]) == value
+        gap = stokes._RayQuadrature.of(full).gap
+        assert stokes._exp_sum(chain(gap.terms(gamma_omega),
+                                     table.terms(gamma_omega)),
+                               z, stop_decay)[0] == value
 
     def test_frontier_stops_at_the_decay_cutoff(self, gamma_form, gamma_crit,
                                                 gamma_omega, monkeypatch):
@@ -217,7 +250,7 @@ class TestNodeTable:
             return plain(form, x)
 
         monkeypatch.setattr(RationalForm, "__call__", counted)
-        table.integral(gamma_omega, z, stop_decay)
+        stokes._exp_sum(table.terms(gamma_omega), z, stop_decay)
         monkeypatch.setattr(RationalForm, "__call__", plain)
         assert len(calls) == len(table.nodes)
         starts = [mpmath.re(ray.samples[start][2] / z) for start, _ in table.chords]

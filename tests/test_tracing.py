@@ -1,4 +1,5 @@
-"""The benchmark's tracer (perfbench/tracing.py) still sees ray tracing.
+"""The benchmark's tracer (perfbench/tracing.py) still sees ray tracing and
+the per-ray sums.
 
 The tracer wraps only the functions whose `__module__` is their own
 module's, so a memo wrapper that lost its function's metadata would
@@ -8,7 +9,9 @@ silently drop the per-layer metrics of the layer it wraps.
 import importlib.util
 import os
 
-from stokeswb import betti
+from mpmath import mpf
+
+from stokeswb import betti, stokes
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -34,3 +37,21 @@ def test_tracer_records_ray_tracing(gamma_form, gamma_crit, monkeypatch):
     spans = [s for s in tracer.spans if s[0] == "betti.trace_ray"]
     assert any(s[4] and s[4].get("alpha_evals") for s in spans)
     assert tracer.layer_metrics()["betti.rk_samples"]["value"] > 0
+
+
+def test_tracer_records_ray_sums(gamma_form, gamma_crit, gamma_omega,
+                                 monkeypatch):
+    # a cold memo, so the sums lay their nodes under the tracer
+    monkeypatch.setattr(betti._traced_ray, "cache", {})
+    path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.register_form(gamma_form)
+        stokes.exp_integral(path, gamma_omega, gamma_crit, mpf("0.3"))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["stokes.ray_integral.calls"]["value"] == 2
+    assert metrics["stokes.ray_integral.exp_calls"]["value"] > 0
+    assert metrics["stokes.ray_integral.omega_evals"]["value"] > 0
