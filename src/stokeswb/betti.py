@@ -4,7 +4,8 @@ A thimble of direction d at a zero of order m is a flow line of
 Im(exp(-i d) f) = const leaving the zero along one of the m+1
 distinguished rays of the local coordinate, traced with an embedded
 Runge-Kutta pair (unit speed, projection step re-imposing the constant
-imaginary part) until it is captured by a pole.
+imaginary part) until it is captured by a pole.  Down to the seed next
+to the zero, x and f come from the closed-form primitive alone.
 """
 
 from dataclasses import dataclass, replace
@@ -14,8 +15,8 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import derham
-from .derham import INF, LocalCoordinate, RationalForm
-from .errors import NoCapture, SaddleEncounter
+from .derham import INF
+from .errors import NoCapture, RootFindingFailed, SaddleEncounter
 from .lattice import exp_less_on_arc, exp_less_at, LESS
 from .scalar import legendre_nodes, to_mpc, wrap_angle
 
@@ -185,6 +186,7 @@ _CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
 _SADDLE_TOL = mpf("1e-7")       # approach tolerance at foreign zeros
 _SPIRAL_TOL = mpf("1e-8")       # straight-vs-spiral test at simple poles
 _MAX_STEPS = 200000             # RK steps of a ray, growth included
+_SEED_NEWTON_STEPS = 40         # Newton steps placing the seed
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ class ThimbleRay:
     the critical value, so Im(exp(-i d) f) is constant along the ray and
     Re(exp(-i d) f) is strictly increasing.  f advances by increments of
     the closed-form primitive (`derham.Primitive`, kept as `primitive`
-    for the node tables built on the ray).
+    for the node tables built on the ray), which also places the seed.
 
     An irregular tail is one fixed sequence: `grow` appends the next
     sample with the step carried over, so the samples do not depend on
@@ -231,13 +233,12 @@ class ThimbleRay:
     at the end of the first trace, which stops at `flow_reach`.
     """
 
-    def __init__(self, one_form, crit, j, ell, d, local, controls):
+    def __init__(self, one_form, crit, j, ell, d, controls):
         self.one_form = one_form
         self.crit = crit
         self.j = j
         self.ell = ell
         self.d = mpf(d)
-        self.local = local
         self.controls = controls
         self.samples = []
         self.n_traced = None
@@ -288,21 +289,35 @@ class ThimbleRay:
     # -- seeding --
 
     def _seed(self):
+        """The first sample: x where f = c + |u|^(m+1) e^{id}/(m+1), u on ray
+        ell of the local coordinate, by Newton on the primitive from
+        q + u / a_m^(1/(m+1)) (a_m the form's leading Taylor coefficient
+        at the zero q, principal root as in the series)."""
         m = self.one_form.zeros[self.j].order
+        q = to_mpc(self.one_form.zeros[self.j].location)
+        root = derham._laurent_series(self._form_aff, q, order_hint=m)[1][m] \
+            ** (mpf(1) / (m + 1))
         scale = self._reference_scale()
         u_mag = ((m + 1) * _SEED_SCALE * scale) ** (mpf(1) / (m + 1))
-        # stay well inside the convergence disk of the inverse series
-        conv = self._series_radius()
-        u_mag = min(u_mag, conv / 4)
+        # the primitive's increments from q hold within the step cap
+        cap = self._step_cap("affine", q)
+        u_mag = min(u_mag, cap * abs(root))
         phi = (2 * mp.pi * self.ell + self.d) / (m + 1)
-        u = u_mag * mpmath.exp(1j * phi)
-        self.u_seed = u
-        chart = self.local.chart
-        x_chart = self.local.point(u)
-        f = self.crit.values[self.j] + u_mag ** (m + 1) * self._unit / (m + 1)
+        self.u_seed = u_mag * mpmath.exp(1j * phi)
+        step = u_mag ** (m + 1) * self._unit / (m + 1)
+        # quadratic: a step below half the digits leaves x at full precision
+        tol, x = mpf(2) ** (-mp.prec // 2), q + self.u_seed / root
+        for _ in range(_SEED_NEWTON_STEPS):
+            dx = (self.primitive.increment(q, x) - step) / self._form_aff(x)
+            x -= dx
+            if abs(dx) <= tol * abs(x - q):
+                break
+        if not (abs(dx) <= tol * abs(x - q) and abs(x - q) <= 2 * cap):
+            raise RootFindingFailed(f"no seed on ray {self.ell} at zero {self.j}")
+        f = self.crit.values[self.j] + step
         self.psi0 = mpmath.im(mpmath.exp(-1j * self.d) * f)
-        self._state = (x_chart, f, chart, mpf(0))
-        self.samples.append((mpf(0), self._affine(chart, x_chart), f))
+        self._state = (x, f, "affine", mpf(0))
+        self.samples.append((mpf(0), x, f))
 
     def _reference_scale(self):
         from .lattice import critical_differences
@@ -312,14 +327,6 @@ class ThimbleRay:
         if diffs:
             return abs(diffs[0])
         return mpf(1)
-
-    def _series_radius(self):
-        worst = mpf(0)
-        for n in range(1, len(self.local.x_of_u.coeffs)):
-            c = abs(self.local.x_of_u.coeffs[n])
-            if c > 0:
-                worst = max(worst, c ** (mpf(1) / n))
-        return 1 / worst if worst > 0 else mpf(1)
 
     # -- flow field: unit-speed velocity in the working chart --
 
@@ -595,10 +602,7 @@ def trace_ray(one_form, crit, j, ell, d, controls=None):
 
 @derham._value_memo
 def _traced_ray(one_form, crit, j, ell, d, controls):
-    m = one_form.zeros[j].order
-    # memoized by value: one series per zero, shared by every ray
-    local = derham.local_coordinate_series(one_form, j, max(m + 2, 16))
-    return ThimbleRay(one_form, crit, j, ell, d, local, controls)
+    return ThimbleRay(one_form, crit, j, ell, d, controls)
 
 
 def trace_thimble(one_form, crit, j, ell, d, controls=None, generic_check=None):

@@ -231,7 +231,11 @@ def cmd_formal_xi(args):
         raise MalformedInput(f"--order {args.order}: below {m}, the order of the zero")
     omega = RationalForm(tuple(_spec_field(data, "omega_P", _list_of(_num), [1])),
                          tuple(_spec_field(data, "omega_Q", _list_of(_num), [0, 1])))
-    series_list = derham.formal_comparison(omega, one_form, args.zero, args.order)
+    try:
+        series_list = derham.formal_comparison(omega, one_form, args.zero,
+                                               args.order)
+    except ValueError as err:
+        raise MalformedInput(f"omega_P/omega_Q at zero {args.zero}: {err}")
     payload = [s.to_json() for s in series_list]
     out = args.out or "formal_xi.json"
     _write(out, _json_dump(payload))

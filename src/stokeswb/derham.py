@@ -10,7 +10,7 @@ the deformation parameter z.
 import functools
 import inspect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -768,26 +768,19 @@ class LocalCoordinate:
     u_of_w: GevreySeries
     x_of_u: GevreySeries
     residual: object
-    dx_of_u: GevreySeries = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dx_of_u", self.x_of_u.derivative())
 
     def point(self, u):
         """Chart coordinate of the point with local parameter u."""
         return self.center + self.x_of_u(u)
 
-    def dpoint(self, u):
-        return self.dx_of_u(u)
-
 
 @_value_memo
-def local_coordinate_series(one_form, j, order, branch=0):
+def local_coordinate_series(one_form, j, order):
     """Solve u^(m+1)/(m+1) = primitive of the form at the j-th zero.
 
     The primitive's Taylor series at the zero has valuation m+1; its
-    (m+1)-st root (deterministic branch) gives u(w), inverted to w(u).
-    Memoized by value: every ray and direction at one zero shares it.
+    (m+1)-st root (principal branch) gives u(w), inverted to w(u).
+    Memoized by value; thimble tracing does not use it.
     """
     zero = one_form.zeros[j]
     m = zero.order
@@ -802,7 +795,7 @@ def local_coordinate_series(one_form, j, order, branch=0):
     a_series = GevreySeries(tuple(series[: work + 1]))
     prim = a_series.integral(0)                      # valuation m+1
     target = gevrey.scale(prim, m + 1)
-    u_of_w = gevrey.nth_root(target, m + 1, branch)  # valuation 1
+    u_of_w = gevrey.nth_root(target, m + 1)          # valuation 1
     x_of_u = gevrey.reversion(u_of_w)
     # verify a(x(u)) * x'(u) = u^m through the available order
     comp = gevrey.compose(a_series.truncate(x_of_u.trunc_order), x_of_u)
@@ -908,7 +901,7 @@ def reduction_series_bruteforce(g_coeffs, m, order):
 
 
 @_value_memo
-def formal_comparison(omega, one_form, j, order, local=None):
+def formal_comparison(omega, one_form, j, order):
     """Reduce a global form to the local basis at zero j, as z-series.
 
     `omega` is a RationalForm holomorphic at the zero.  Its pullback
@@ -918,8 +911,7 @@ def formal_comparison(omega, one_form, j, order, local=None):
     """
     zero = one_form.zeros[j]
     m = zero.order
-    if local is None:
-        local = local_coordinate_series(one_form, j, order + 2)
+    local = local_coordinate_series(one_form, j, order + 2)
     omega_chart = omega.in_chart(local.chart)
     n_loc, om_series = _laurent_series(omega_chart, local.center,
                                        order_hint=local.x_of_u.trunc_order + 4)
@@ -927,7 +919,7 @@ def formal_comparison(omega, one_form, j, order, local=None):
         raise ValueError("omega must be holomorphic at the zero")
     om = GevreySeries(tuple(om_series[: local.x_of_u.trunc_order + 1]))
     comp = gevrey.compose(om, local.x_of_u)
-    g_u = gevrey.mul(comp, local.dx_of_u)
+    g_u = gevrey.mul(comp, local.x_of_u.derivative())
     return reduction_series(g_u.coeffs, m, order)
 
 

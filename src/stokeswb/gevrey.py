@@ -296,29 +296,6 @@ def reversion(a):
     return GevreySeries(tuple(w[: n + 1]))
 
 
-_OPS = {
-    "add": add,
-    "mul": mul,
-    "compose": compose,
-    "reciprocal": lambda a, b=None: reciprocal(a),
-    "exp": lambda a, b=None: exp(a),
-    "log": lambda a, b=None: log(a),
-    "nth_root": None,  # handled below for the extra argument
-}
-
-
-def series_arith(a, b=None, op="add", n=None, branch=0):
-    """Dispatcher over the series operations, mirroring the module surface."""
-    if op == "nth_root":
-        return nth_root(a, n, branch)
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
-    fn = _OPS[op]
-    if op in ("add", "mul", "compose"):
-        return fn(a, b)
-    return fn(a)
-
-
 # ---------------------------------------------------------------------------
 # Gevrey-1 machinery
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The contour integral of exp(-f/z) * omega along a traced ray is one sum
 over one sequence of z-independent quadrature nodes kept on the ray, in
-flow order: the local-coordinate gap from the zero to the seed, the
-chords along the sampled flow line, and, on a ray that ends in a simple
-pole, the straightened tail into the pole.  f at the nodes comes from
-the ray's closed-form primitive (`derham.Primitive`), and each part
+flow order: the straight gap from the zero to the seed, the chords
+along the sampled flow line, and, on a ray that ends in a simple pole,
+the straightened tail into the pole.  f at the nodes comes from the
+ray's closed-form primitive (`derham.Primitive`) alone, never from the
+formal side's series, and each part
 keeps w * omega at its nodes per omega, so one trace serves a whole z
 grid at one exp per node.  The gap and the tail do not depend on the
 chord span, so every flow-line table of the ray shares them.
@@ -80,23 +81,23 @@ class _Nodes:
 
 
 class _SeedGap(_Nodes):
-    """From the zero to the seed point in the local coordinate u, where
-    f = c + u^(m+1)/(m+1) exactly; laid in one batch."""
+    """The straight segment from the zero q to the seed, in the disk where
+    the seed was placed (Cauchy), with f = c + primitive.increment(q, x);
+    laid in one batch."""
 
     def lay(self):
         if self.nodes:
             return False
-        ray, local = self.ray, self.ray.local
-        m = ray.one_form.zeros[ray.j].order
+        ray = self.ray
+        q = to_mpc(ray.one_form.zeros[ray.j].location)
         c = ray.crit.values[ray.j]
+        half = (ray.samples[0][1] - q) / (2 * _GAP_PANELS)
         for p in range(_GAP_PANELS):
-            a = ray.u_seed * mpf(p) / _GAP_PANELS
-            b = ray.u_seed * mpf(p + 1) / _GAP_PANELS
-            mid, half = (a + b) / 2, (b - a) / 2
+            mid = q + (2 * p + 1) * half
             for xg, wg in legendre_nodes(_GAP_NODES):
-                u = mid + half * xg
-                self.nodes.append((local.point(u), c + u ** (m + 1) / (m + 1),
-                                   wg * half * local.dpoint(u), local.chart))
+                x = mid + half * xg
+                self.nodes.append((x, c + ray.primitive.increment(q, x),
+                                   wg * half, "affine"))
         return True
 
 
@@ -186,37 +187,46 @@ class _RayTable(_Nodes):
 
 
 class _PoleTail(_Nodes):
-    """The straightened segment from the capture point into a simple pole p.
+    """The straightened segment from the capture point into a simple pole.
 
-    Parametrized by x = p + x0 exp(-tau), x0 the capture point minus p:
-    along it the pole's own log term of the primitive is exactly
-    -residue * tau, so f is exact at every node.  Each `lay` adds one
-    panel of 1/_TAIL_PANELS_PER_UNIT in tau; the tail has no end.
+    In the pole's chart, centred on it, the segment is v = v0 exp(-tau),
+    v0 the capture point: at a finite pole the pole's own log term of
+    the primitive is exactly -residue * tau there, so f is exact at
+    every node.  Each `lay` adds one panel of 1/_TAIL_PANELS_PER_UNIT in
+    tau; the tail has no end.
     """
 
     def __init__(self, ray):
         super().__init__(ray)
         term, prim = ray.terminal, ray.primitive
-        self._pole = to_mpc(ray._poles[term.pole_index].location)
-        self._k = next(i for i, pole in enumerate(prim.poles) if pole[0] == self._pole)
+        self._chart, self._center = _pole_chart(ray)
         self._x_cap = to_mpc(term.capture_point)
         self._f_cap = to_mpc(term.f_capture) - prim.rational(self._x_cap)
+        self._v0 = ray._affine(self._chart, self._x_cap) - self._center
+        self._k = None if self._chart == INF else next(
+            i for i, pole in enumerate(prim.poles) if pole[0] == self._center)
 
     def lay(self):
         prim = self.ray.primitive
-        residue = prim.poles[self._k][1]
-        x0 = self._x_cap - self._pole
+        own = 0 if self._k is None else prim.poles[self._k][1]
         a = mpf(len(self.nodes) // _TAIL_NODES) / _TAIL_PANELS_PER_UNIT
         b = a + 1 / mpf(_TAIL_PANELS_PER_UNIT)
         mid, half = (a + b) / 2, (b - a) / 2
         for xg, wg in legendre_nodes(_TAIL_NODES):
             tau = mid + half * xg
-            dx = x0 * mpmath.exp(-tau)
-            x_here = self._pole + dx
-            f = (self._f_cap + prim.rational(x_here) - residue * tau
+            v = self._v0 * mpmath.exp(-tau)
+            point = self._center + v
+            x_here = self.ray._affine(self._chart, point)
+            f = (self._f_cap + prim.rational(x_here) - own * tau
                  + prim.log_increment(self._x_cap, x_here, skip=self._k))
-            self.nodes.append((x_here, f, -wg * half * dx, "affine"))
+            self.nodes.append((point, f, -wg * half * v, self._chart))
         return True
+
+
+def _pole_chart(ray):
+    """(chart, centre) of the pole that captured the ray."""
+    location = ray._poles[ray.terminal.pole_index].location
+    return (INF, mpc(0)) if location == INF else ("affine", to_mpc(location))
 
 
 class _RayQuadrature:
@@ -313,10 +323,10 @@ def _cutoffs(ray, z, tol):
 def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     """Integral of exp(-f/z) omega from the zero along one outgoing ray.
 
-    One sum over the ray's node sequence in flow order: the
-    local-coordinate gap, the chords of span df_max (by default the
-    largest span `_quantized_df` allows at this |z| and tol), and on a
-    ray into a simple pole the straightened tail.  Its reach is set by
+    One sum over the ray's node sequence in flow order: the straight
+    gap from the zero to the seed, the chords of span df_max (by default
+    the largest span `_quantized_df` allows at this |z| and tol), and on
+    a ray into a simple pole the straightened tail.  Its reach is set by
     the sum alone: nodes are laid, and an irregular tail grown, up to
     where Re(f/z) passes the decay cut-off of `_cutoffs`, past which no
     node counts.  A simple-pole tail must decay at a rate above 0.05
@@ -330,17 +340,21 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
         raise TailNotDecaying(f"z={z} outside the half-plane of direction {ray.d}")
     term = ray.terminal
     if term.pole_order == 1:
-        pole = ray._poles[term.pole_index]
-        if pole.location == INF:
-            raise AssertionError("no straightened tail into a simple pole at infinity")
-        # along x = p + x0 exp(-tau), exp(-f/z) goes like exp(tau residue/z)
-        # and omega like exp((n_om - 1) tau), n_om its pole order at p
-        n_om, _ = derham._laurent_series(omega, to_mpc(pole.location), order_hint=0)
-        tail_rate = -mpmath.re(pole.residue / z) - n_om + 1
+        chart, center = _pole_chart(ray)
+        # along the tail exp(-f/z) goes like exp(-tau decay) and omega like
+        # exp((n_om - 1) tau), n_om its pole order in the pole's chart
+        n_om, _ = derham._laurent_series(omega.in_chart(chart), center,
+                                         order_hint=0)
+        decay = -mpmath.re(ray._poles[term.pole_index].residue / z)
+        tail_rate = decay - n_om + 1
         if tail_rate <= mpf("0.05"):
             raise TailNotDecaying(f"simple-pole tail rate {tail_rate} at z={z} "
                                   f"(omega pole order {n_om})")
     tol_abs, stop_decay = _cutoffs(ray, z, tol)
+    if term.pole_order == 1 and tail_rate < decay:
+        # the terms fall at tail_rate, slower than Re(f/z) grows (decay):
+        # move the cut-off out by that ratio
+        stop_decay *= decay / tail_rate
     if df_max is None:
         df_max = _quantized_df(abs(z), tol)
     parts = _RayQuadrature.of(ray).parts(df_max)

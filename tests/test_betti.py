@@ -196,10 +196,18 @@ class TestTracing:
             betti.trace_ray(gamma_form, gamma_crit, 0, 0, 0,
                             controls=TraceControls(max_arc_length=1))
 
-    def test_one_local_coordinate_per_zero(self, gamma_form, gamma_crit):
-        rays = [betti.trace_ray(gamma_form, gamma_crit, 0, ell, d)
-                for ell in (0, 1) for d in (0, mpf(2))]
-        assert all(r.local is rays[0].local for r in rays)
+    def test_seed_on_the_local_coordinate(self, gamma_form, gamma_crit):
+        # the Newton seed against the series inverse of the local coordinate
+        # at the same u: m = 1 (Gamma, both rays) and m = 2 (x^2 dx)
+        cube = derham.analyze([0, 0, 1], [1])
+        cube_crit = derham.critical_values(cube, 0, [[0]],
+                                           lat=derham.period_lattice(cube))
+        cases = [(gamma_form, gamma_crit, ell, mpf(0)) for ell in (0, 1)]
+        cases += [(cube, cube_crit, ell, mpf("0.15")) for ell in (0, 1, 2)]
+        for form, crit, ell, d in cases:
+            ray = betti.trace_ray(form, crit, 0, ell, d)
+            local = derham.local_coordinate_series(form, 0, 16)
+            assert abs(ray.samples[0][1] - local.point(ray.u_seed)) < mpf("1e-60")
 
     def test_csv_and_header(self, gamma_form, gamma_crit, tmp_path):
         path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)

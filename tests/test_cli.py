@@ -261,6 +261,19 @@ class TestErrorContract:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_formal_xi_omega_with_a_pole_at_the_zero_exit_1(self, tmp_path, capsys):
+        # omega = dx/(x - 1) has a pole at the Gamma form's zero x = 1
+        spec = gamma_spec(tmp_path)
+        data = json.loads(spec.read_text())
+        data["omega_Q"] = [["-1", "0"], ["1", "0"]]
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "xi.json"
+        assert run_cli(["formal-xi", spec, "--order", "6", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "holomorphic" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, code", [
         (MalformedInput, 1), (NotOneForm, 2), (DegenerateLattice, 3),
         (ContinuationDiverged, 4), (DivergentLaplace, 4), (PathThroughPole, 1),

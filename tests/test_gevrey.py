@@ -110,13 +110,6 @@ class TestArithmetic:
             assert gevrey.mul(a, gevrey.add(b, c)).isclose(
                 gevrey.add(gevrey.mul(a, b), gevrey.mul(a, c)), rel=mpf("1e-55"))
 
-    def test_series_arith_dispatcher(self):
-        a = from_coeffs([1, 1])
-        assert gevrey.series_arith(a, a, "add").coeffs[1] == mpc(2)
-        assert gevrey.series_arith(a, op="exp").trunc_order == 1
-        with pytest.raises(ValueError):
-            gevrey.series_arith(a, a, "frobnicate")
-
 
 class TestGevreyConstant:
     def test_factorial_series(self):

@@ -71,8 +71,7 @@ class TestExpIntegral:
 
 def fresh_ray(form, crit, ell=0, d=0, controls=TraceControls()):
     """A ray at zero 0 traced apart from the memo of `betti.trace_ray`."""
-    local = derham.local_coordinate_series(form, 0, 16)
-    return betti.ThimbleRay(form, crit, 0, ell, d, local, controls)
+    return betti.ThimbleRay(form, crit, 0, ell, d, controls)
 
 
 def lay_traced(table):
@@ -139,6 +138,47 @@ class TestNodeTable:
             with mp.workprec(mp.prec + 32):
                 ref = f_cap + mpmath.quad(gamma_form.form, [x_cap, x])
             assert abs(f - ref) < mpf("1e-60") * abs(ref)
+
+    def test_tail_into_a_simple_pole_at_infinity(self):
+        # (x - 1)/(x (x - 2)) dx, f = log(x (x - 2))/2: at d = 0.3 both rays
+        # spiral into the simple pole at infinity.  Oracle: the same
+        # integral by mpmath.quad along the first trace's polyline from the
+        # zero, then along the straight ray x_cap e^t, with f continued
+        # by the closed form over each short segment.  omega = dx has a
+        # double pole at infinity, so the tail's terms fall slower than
+        # exp(-f/z), and the sum must read on past the usual cut-off
+        form = derham.analyze([-1, 1], [0, -2, 1])
+        crit = derham.critical_values(form, mpc(1, "0.5"), [[1]],
+                                      lat=derham.period_lattice(form))
+        d = mpf("0.3")
+        z = mpf("0.3") * mpmath.exp(1j * d)
+        dx = RationalForm((mpc(1),), (mpc(1),))
+
+        def increment(a, b):
+            return (mpmath.log(b / a) + mpmath.log((b - 2) / (a - 2))) / 2
+
+        for ell in (0, 1):
+            ray = betti.trace_ray(form, crit, 0, ell, d)
+            assert form.poles[ray.terminal.pole_index].location == derham.INF
+            assert ray.terminal.pole_order == 1
+            val = stokes.ray_integral(ray, dx, z, mpf("1e-30"))
+            points = [form.zeros[0].location]
+            points += [x for _, x, _ in ray.samples[:ray.n_traced]]
+            with mp.workdps(30):
+                oracle, f_a = mpc(0), crit.values[0]
+                for a, b in zip(points[:-1], points[1:]):
+                    def chord(s):
+                        return mpmath.exp(-(f_a + increment(a, a + (b - a) * s)) / z)
+                    oracle += (b - a) * mpmath.quad(chord, [0, 1],
+                                                    method="gauss-legendre")
+                    f_a += increment(a, b)
+                x_cap = points[-1]
+
+                def tail(t):
+                    x = x_cap * mpmath.exp(t)
+                    return mpmath.exp(-(f_a + increment(x_cap, x)) / z) * x
+                oracle += mpmath.quad(tail, [0, mpmath.inf])
+            assert abs(val - oracle) < mpf("1e-27") * abs(oracle)
 
     def test_omega_evaluated_once_per_node(self, gamma_form, gamma_crit,
                                            gamma_omega, monkeypatch):
@@ -257,6 +297,21 @@ class TestNodeTable:
         assert all(s <= stop_decay for s in starts[:-1])
         assert table.chords[-1][1] < len(ray.samples) - 1
 
+    def test_thimble_side_never_builds_the_series(self, gamma_form, gamma_crit,
+                                                  gamma_omega, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("local-coordinate series built")
+
+        monkeypatch.setattr(derham, "local_coordinate_series", forbidden)
+        # a cold memo, so the rays are traced under the patch
+        monkeypatch.setattr(betti._traced_ray, "cache", {})
+        path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
+        z = mpf("0.3")
+        val = stokes.exp_integral(path, gamma_omega, gamma_crit, z,
+                                  tol=mpf("1e-12"))
+        ref = gamma_closed(z)
+        assert abs(val - ref) <= mpf("1e-10") * abs(ref)
+
     def test_borel_side_never_builds_the_primitive(self, gamma_form,
                                                    gamma_crit, gamma_omega,
                                                    monkeypatch):
@@ -276,9 +331,7 @@ class TestNodeTable:
             ref = dual_entry_closed(z)
             assert abs(val - ref) <= mpf("1e-8") * abs(ref)
         with pytest.raises(AssertionError):
-            betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0,
-                             derham.local_coordinate_series(gamma_form, 0, 16),
-                             TraceControls())
+            betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, TraceControls())
 
 
 class TestCallOrder:

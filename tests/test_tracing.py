@@ -11,7 +11,7 @@ import os
 
 from mpmath import mpf
 
-from stokeswb import betti, stokes
+from stokeswb import betti, derham, stokes
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -25,8 +25,9 @@ def load_tracing():
 
 
 def test_tracer_records_ray_tracing(gamma_form, gamma_crit, monkeypatch):
-    # a cold memo, so the rays are traced under the tracer
+    # cold memos, so the rays are traced under the tracer
     monkeypatch.setattr(betti._traced_ray, "cache", {})
+    monkeypatch.setattr(derham.local_coordinate_series, "cache", {})
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -37,6 +38,10 @@ def test_tracer_records_ray_tracing(gamma_form, gamma_crit, monkeypatch):
     spans = [s for s in tracer.spans if s[0] == "betti.trace_ray"]
     assert any(s[4] and s[4].get("alpha_evals") for s in spans)
     assert tracer.layer_metrics()["betti.rk_samples"]["value"] > 0
+    # the series code is the Borel side's alone: its per-layer metrics
+    # say nothing about tracing
+    assert not [s for s in tracer.spans if s[0].startswith("gevrey.")
+                or s[0] == "derham.local_coordinate_series"]
 
 
 def test_tracer_records_ray_sums(gamma_form, gamma_crit, gamma_omega,
