@@ -21,7 +21,8 @@ from . import betti, derham, gevrey, lattice, stokes, summation
 from .derham import INF, RationalForm
 from .errors import (ContinuationDiverged, DegenerateLattice, DivergentLaplace,
                      GrowthTooFast, MalformedInput, NearSingularity, NotOneForm,
-                     PathThroughPole, SingularRay, WorkbenchError)
+                     PathThroughPole, QuadratureNotConverged, SingularRay,
+                     WorkbenchError)
 from .scalar import cplx_to_pair, default_precision
 
 EXIT_USAGE = 1
@@ -37,7 +38,7 @@ EXIT_CODES = (
     (NotOneForm, EXIT_NOT_ONE_FORM),
     (DegenerateLattice, EXIT_SUPPORT_FAILURE),
     ((ContinuationDiverged, DivergentLaplace, GrowthTooFast, NearSingularity,
-      SingularRay), EXIT_DIVERGENT),
+      QuadratureNotConverged, SingularRay), EXIT_DIVERGENT),
     (WorkbenchError, EXIT_INVARIANT),
 )
 

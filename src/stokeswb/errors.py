@@ -41,6 +41,12 @@ class SingularRay(WorkbenchError):
     """Integration ray passes within guard distance of a singularity."""
 
 
+# --- quadrature ---
+
+class QuadratureNotConverged(WorkbenchError):
+    """An adaptive quadrature panel is still unconverged at the depth limit."""
+
+
 # --- lattices and exponential sums ---
 
 class DegenerateLattice(WorkbenchError):

@@ -4,6 +4,13 @@ A series is stored as its coefficients a_0..a_N at a fixed truncation
 order N.  Operations never extend a series silently: binary operations
 truncate to the smaller order, so Gevrey estimates always refer to
 stored coefficients only.
+
+Every truncated convolution (`mul`, each Horner step of `compose`, and
+the recurrences of `reciprocal`, `exp` and `log`) goes through one
+kernel, `_cauchy`: a coefficient is one `mpmath.fdot`, with exact
+products and a single rounding.  Values of a series are one `fdot`
+against the powers of z.  `compose` keeps at each Horner step only the
+coefficients the result reads, n^3/6 products at order n.
 """
 
 from dataclasses import dataclass, field
@@ -74,11 +81,7 @@ class GevreySeries:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        z = to_mpc(z)
-        acc = mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return mpmath.fdot(self.coeffs, _powers(to_mpc(z), self.trunc_order))
 
     def truncate(self, order):
         if order >= self.trunc_order:
@@ -167,66 +170,78 @@ def scale(a, factor):
     return GevreySeries(tuple(factor * c for c in a.coeffs), a.precision)
 
 
+def _powers(z, n):
+    """[1, z, ..., z^n], for values of a polynomial as one `mpmath.fdot`."""
+    out = [mpc(1)]
+    for _ in range(n):
+        out.append(out[-1] * z)
+    return out
+
+
+def _cauchy(a, b, k):
+    """sum_i a_i b_(k-i): coefficient k of the product of two coefficient lists.
+
+    One `mpmath.fdot`, so every product is exact and the sum is rounded
+    once.  Terms past the end of `a` are absent, `b` must hold b_0..b_k,
+    and k = -1 gives the empty sum.
+    """
+    return mpmath.fdot(a[:k + 1], b[k::-1])
+
+
 def mul(a, b):
+    """Product truncated to the smaller order; each coefficient is one `_cauchy`."""
     n = min(a.trunc_order, b.trunc_order)
-    out = [mpc(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if ai == 0:
-            continue
-        for j in range(0, n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return GevreySeries(tuple(out))
+    return GevreySeries(tuple(_cauchy(a.coeffs, b.coeffs, k) for k in range(n + 1)))
 
 
 def compose(a, b):
-    """a(b(z)); requires b(0) = 0 so truncation is stable."""
+    """a(b(z)); requires b(0) = 0 so truncation is stable.
+
+    Horner in b: acc_k = a_k + b * acc_(k+1), and acc_0 is the result.
+    acc_k is multiplied by b^k, which has valuation k, so only its
+    coefficients through order n - k are kept, and b_0 = 0 is skipped.
+    Each step is a truncated product by `_cauchy`, n^3/6 products in all
+    where full-order steps would need n^3/2.
+    """
     if b.coeffs[0] != 0:
         raise ZeroLeadingCoefficient("compose requires inner constant term 0")
     n = min(a.trunc_order, b.trunc_order)
-    bn = b.truncate(n)
-    acc = monomial(a.coeffs[min(a.trunc_order, n)], 0, n)
-    for k in range(min(a.trunc_order, n) - 1, -1, -1):
-        acc = mul(acc, bn)
-        acc = GevreySeries((acc.coeffs[0] + a.coeffs[k],) + acc.coeffs[1:])
-    return acc
+    b1 = b.coeffs[1:]
+    acc = [a.coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        acc = [a.coeffs[k]] + [_cauchy(b1, acc, i) for i in range(n - k)]
+    return GevreySeries(tuple(acc))
 
 
 def reciprocal(a):
     if a.coeffs[0] == 0:
         raise ZeroLeadingCoefficient("reciprocal requires a_0 != 0")
-    n = a.trunc_order
+    a1 = a.coeffs[1:]
     inv0 = 1 / a.coeffs[0]
-    out = [inv0] + [mpc(0)] * n
-    for k in range(1, n + 1):
-        s = mpc(0)
-        for j in range(1, k + 1):
-            s += a.coeffs[j] * out[k - j]
-        out[k] = -inv0 * s
+    out = [inv0]
+    for k in range(a.trunc_order):
+        out.append(-inv0 * _cauchy(a1, out, k))
     return GevreySeries(tuple(out))
 
 
 def exp(a):
     """exp of a series; the constant term goes through mpmath.exp."""
-    n = a.trunc_order
-    out = [mpmath.exp(a.coeffs[0])] + [mpc(0)] * n
-    for k in range(1, n + 1):
-        s = mpc(0)
-        for j in range(1, k + 1):
-            s += j * a.coeffs[j] * out[k - j]
-        out[k] = s / k
+    da = a.derivative().coeffs                        # j a_j at index j - 1
+    out = [mpmath.exp(a.coeffs[0])]
+    for k in range(1, a.trunc_order + 1):
+        out.append(_cauchy(da, out, k - 1) / k)
     return GevreySeries(tuple(out))
 
 
 def log(a):
     if a.coeffs[0] == 0:
         raise ZeroLeadingCoefficient("log requires a_0 != 0")
-    n = a.trunc_order
-    out = [mpmath.log(a.coeffs[0])] + [mpc(0)] * n
-    for k in range(1, n + 1):
-        s = mpc(0)
-        for j in range(1, k):
-            s += j * out[j] * a.coeffs[k - j]
-        out[k] = (a.coeffs[k] - s / k) / a.coeffs[0]
+    a1 = a.coeffs[1:]
+    out = [mpmath.log(a.coeffs[0])]
+    dout = []                                         # j out_j at index j - 1
+    for k in range(1, a.trunc_order + 1):
+        out.append((a.coeffs[k] - _cauchy(dout, a1, k - 2) / k) / a.coeffs[0])
+        dout.append(k * out[k])
     return GevreySeries(tuple(out))
 
 
@@ -356,18 +371,16 @@ def check_asymptotic(samples, s, n_max, tolerance_factor=2):
     if n_max > s.trunc_order:
         raise ValueError("n_max exceeds the stored truncation order")
     c_est = estimate_gevrey_constant(s)
+    powers = [_powers(to_mpc(z), n_max) for z, _ in samples]
     constants = []
     failed = []
     fact = mpf(1)
     for big_n in range(1, n_max + 1):
         fact *= big_n
         worst = mpf(0)
-        for z, fz in samples:
-            z = to_mpc(z)
-            partial = mpc(0)
-            for n in range(big_n - 1, -1, -1):
-                partial = partial * z + s.coeffs[n]
-            rem = abs(to_mpc(fz) - partial) / (abs(z) ** big_n * fact)
+        for (z, fz), zk in zip(samples, powers):
+            partial = mpmath.fdot(s.coeffs[:big_n], zk)
+            rem = abs(to_mpc(fz) - partial) / (abs(to_mpc(z)) ** big_n * fact)
             cand = rem ** (mpf(1) / (big_n + 1))
             if cand > worst:
                 worst = cand

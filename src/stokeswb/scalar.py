@@ -12,8 +12,12 @@ import os
 from mpmath import mp, mpf, mpc
 import mpmath
 
+from .errors import QuadratureNotConverged
+
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+# panels of adaptive_gauss halve at most this many times
+MAX_DEPTH = 40
 
 
 def default_precision():
@@ -133,17 +137,22 @@ def gauss_segment(f, a, b, n=32):
     return total * half
 
 
-def adaptive_gauss(f, a, b, tol, n=32, depth=0, max_depth=40):
+def adaptive_gauss(f, a, b, tol, n=32, depth=0):
     """Adaptive panel Gauss-Legendre over [a, b] (straight segment).
 
     A panel is split when the whole-panel estimate and the sum of the two
-    half-panel estimates disagree by more than 0.1 * tol.
+    half-panel estimates disagree by more than 0.1 * tol; a panel that
+    still disagrees at depth MAX_DEPTH raises QuadratureNotConverged.
     """
     whole = gauss_segment(f, a, b, n)
     mid = (to_mpc(a) + to_mpc(b)) / 2
     left = gauss_segment(f, a, mid, n)
     right = gauss_segment(f, mid, b, n)
-    if abs(whole - (left + right)) <= mpf(tol) / 10 or depth >= max_depth:
+    if abs(whole - (left + right)) <= mpf(tol) / 10:
         return left + right
-    return (adaptive_gauss(f, a, mid, tol / 2, n, depth + 1, max_depth)
-            + adaptive_gauss(f, mid, b, tol / 2, n, depth + 1, max_depth))
+    if depth >= MAX_DEPTH:
+        raise QuadratureNotConverged(
+            f"adaptive Gauss-Legendre not converged at depth {MAX_DEPTH} "
+            f"near {mpmath.nstr(mid, 15)}")
+    return (adaptive_gauss(f, a, mid, tol / 2, n, depth + 1)
+            + adaptive_gauss(f, mid, b, tol / 2, n, depth + 1))

@@ -105,15 +105,10 @@ class BorelFunction:
         self._pade_cache[order] = (p, q)
         return p, q
 
-    def _eval_pade(self, order, zeta):
+    def _eval_pade(self, order, powers):
+        """P/Q of the given order at the point whose powers 1, zeta, ... are given."""
         p, q = self._pade(order)
-        num = mpc(0)
-        for c in reversed(p):
-            num = num * zeta + c
-        den = mpc(0)
-        for c in reversed(q):
-            den = den * zeta + c
-        return num / den
+        return mpmath.fdot(p, powers) / mpmath.fdot(q, powers)
 
     # -- Taylor stepping --
     def _local_radius(self, center):
@@ -207,13 +202,13 @@ def _taylor_shift(coeffs, dz):
 
 
 def _expand_rational(p, q, n_out):
-    out = []
+    """Taylor coefficients 0..n_out of P/Q, each from one `gevrey._cauchy`."""
+    q1 = q[1:]
     inv0 = 1 / q[0]
+    out = []
     for k in range(n_out + 1):
         s = p[k] if k < len(p) else mpc(0)
-        for j in range(1, min(k, len(q) - 1) + 1):
-            s -= q[j] * out[k - j]
-        out.append(s * inv0)
+        out.append((s - gevrey._cauchy(q1, out, k - 1)) * inv0)
     return out
 
 
@@ -312,17 +307,20 @@ def continue_borel(g, zeta, agree_rel=mpf("1e-8"), abs_budget=None, via=()):
 
     Pade mode evaluates two consecutive diagonal orders and requires them
     to agree to `agree_rel` (relative) or `abs_budget` (absolute), which-
-    ever is looser; stepping mode walks noise-controlled re-expansions
-    along the segment [0, zeta], or through the `via` waypoints when the
-    straight segment runs into a singularity.
+    ever is looser; the powers 1, zeta, ..., zeta^order are formed once,
+    and each numerator and denominator is one `mpmath.fdot` against them
+    (exact products, one rounding).  Stepping mode walks noise-controlled
+    re-expansions along the segment [0, zeta], or through the `via`
+    waypoints when the straight segment runs into a singularity.
     """
     zeta = to_mpc(zeta)
     g._check_guard(zeta)
     if g.method == "pade":
         order = g.pade_order
         lo = max(order - 1, 1)
-        a = g._eval_pade(order, zeta)
-        b = g._eval_pade(lo, zeta) if lo != order else a
+        powers = gevrey._powers(zeta, order)
+        a = g._eval_pade(order, powers)
+        b = g._eval_pade(lo, powers) if lo != order else a
         scale = max(abs(a), abs(b), mpf(1))
         tol = agree_rel * scale
         if abs_budget is not None:

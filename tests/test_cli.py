@@ -12,7 +12,7 @@ from mpmath import mp, mpf, mpc
 from stokeswb import cli, gevrey, summation
 from stokeswb.errors import (ContinuationDiverged, DegenerateLattice,
                              DivergentLaplace, MalformedInput, NoCapture,
-                             NotOneForm, PathThroughPole)
+                             NotOneForm, PathThroughPole, QuadratureNotConverged)
 from stokeswb.gevrey import GevreySeries
 
 
@@ -277,7 +277,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("error, code", [
         (MalformedInput, 1), (NotOneForm, 2), (DegenerateLattice, 3),
         (ContinuationDiverged, 4), (DivergentLaplace, 4), (PathThroughPole, 1),
-        (NoCapture, 5)])
+        (QuadratureNotConverged, 4), (NoCapture, 5)])
     def test_each_error_type_has_its_code(self, monkeypatch, tmp_path,
                                           error, code):
         def fail(args):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 import mpmath
@@ -109,6 +110,61 @@ class TestArithmetic:
                 gevrey.mul(a, gevrey.mul(b, c)), rel=mpf("1e-55"))
             assert gevrey.mul(a, gevrey.add(b, c)).isclose(
                 gevrey.add(gevrey.mul(a, b), gevrey.mul(a, c)), rel=mpf("1e-55"))
+
+
+def random_series(rng, order, zero_constant=False):
+    coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(order + 1)]
+    if zero_constant:
+        coeffs[0] = mpc(0)
+    return from_coeffs(coeffs)
+
+
+def fraction_mul(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(n + 1)]
+
+
+class TestKernel:
+    """mul and compose against exact arithmetic and an independent sum."""
+
+    def test_small_integers_exact(self, rng):
+        for n in (0, 1, 5, 9):
+            ia = [rng.randint(-9, 9) for _ in range(n + 1)]
+            ib = [0] + [rng.randint(-9, 9) for _ in range(n)]
+            a, b = [Fraction(x) for x in ia], [Fraction(x) for x in ib]
+            got = gevrey.mul(from_coeffs(ia), from_coeffs(ib))
+            assert got.coeffs == tuple(mpc(int(x)) for x in fraction_mul(a, b, n))
+            # a(b) = sum a_k b^k, every b^k truncated at n
+            want = [Fraction(0)] * (n + 1)
+            power = [Fraction(1)] + [Fraction(0)] * n
+            for ak in a:
+                want = [w + ak * p for w, p in zip(want, power)]
+                power = fraction_mul(power, b, n)
+            got = gevrey.compose(from_coeffs(ia), from_coeffs(ib))
+            assert got.coeffs == tuple(mpc(int(x)) for x in want)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_compose_matches_power_sum(self, rng, n):
+        a = random_series(rng, n)
+        b = random_series(rng, n, zero_constant=True)
+        want = gevrey.monomial(a.coeffs[0], 0, n)
+        power = gevrey.monomial(1, 0, n)
+        for ak in a.coeffs[1:]:
+            power = gevrey.mul(power, b)
+            want = gevrey.add(want, gevrey.scale(power, ak))
+        coeffs_close(gevrey.compose(a, b), want.coeffs, rel=mpf("1e-70"))
+
+    def test_coefficient_reads_only_lower_inputs(self, rng):
+        n = 12
+        a = random_series(rng, n)
+        b = random_series(rng, n, zero_constant=True)
+        prod, comp = gevrey.mul(a, b), gevrey.compose(a, b)
+        for j in (0, 3, n - 1):
+            bump = [mpc(0)] * (j + 1) + [mpc(rng.uniform(1, 2), 1)] * (n - j)
+            a2 = gevrey.add(a, from_coeffs(bump))
+            b2 = gevrey.add(b, from_coeffs(bump))
+            assert gevrey.mul(a2, b2).coeffs[: j + 1] == prod.coeffs[: j + 1]
+            assert gevrey.compose(a2, b2).coeffs[: j + 1] == comp.coeffs[: j + 1]
 
 
 class TestGevreyConstant:

@@ -83,6 +83,19 @@ class TestContinuation:
             b = continue_borel(gs, zeta)
             assert abs(a - b) <= mpf("1e-10") * abs(1 / (1 - zeta))
 
+    def test_pade_values_match_horner(self):
+        # the values from shared powers of zeta against P/Q by Horner
+        g = geometric()
+        p, q = g._pade(g.pade_order)
+        for zeta in (mpc("0.1"), 5 * mpmath.expj(mpf("0.5")), 40 * mpmath.expj(2)):
+            num = den = mpc(0)
+            for c in reversed(p):
+                num = num * zeta + c
+            for c in reversed(q):
+                den = den * zeta + c
+            want = num / den
+            assert abs(continue_borel(g, zeta) - want) <= mpf("1e-70") * abs(want)
+
     def test_radius_estimate(self):
         assert mpmath.isinf(BorelFunction(from_coeffs([1] + [0] * 10)).radius_estimate())
         r = geometric(20).radius_estimate()

@@ -60,3 +60,28 @@ def test_tracer_records_ray_sums(gamma_form, gamma_crit, gamma_omega,
     assert metrics["stokes.ray_integral.calls"]["value"] == 2
     assert metrics["stokes.ray_integral.exp_calls"]["value"] > 0
     assert metrics["stokes.ray_integral.omega_evals"]["value"] > 0
+
+
+def test_compose_runs_no_full_products(gamma_form, gamma_omega, monkeypatch):
+    # cold memos, so the series arithmetic runs under the tracer
+    monkeypatch.setattr(derham.local_coordinate_series, "cache", {})
+    monkeypatch.setattr(derham.formal_comparison, "cache", {})
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        derham.formal_comparison(gamma_omega, gamma_form, 0, 26)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    names = [s[0] for s in spans]
+    assert "gevrey.compose" in names and "gevrey.mul" in names
+
+    def under_compose(i):
+        while i >= 0:
+            if spans[i][0] == "gevrey.compose":
+                return True
+            i = spans[i][3]
+        return False
+    # compose keeps its truncated Horner steps to itself
+    assert not [i for i, name in enumerate(names)
+                if name == "gevrey.mul" and under_compose(spans[i][3])]
