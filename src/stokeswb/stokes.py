@@ -646,15 +646,15 @@ class ComparisonReport:
 
 
 def comparison_check(one_form, crit, d, z_grid, reps=None, tol=mpf("1e-6"),
-                     asy_order=24, quad_tol=mpf("1e-12"), controls=None,
-                     borel_method="pade"):
+                     asy_order=24, quad_tol=mpf("1e-12"), controls=None):
     """Route the diagram both ways and report the worst discrepancy.
 
     Left-bottom: the raw thimble-cycle integral of exp(-f/z) omega
     (geometry plus quadrature).  Top-right: exp(-c_j/z) times the local
     normalizer times the Borel sum of the entry's asymptotic series
-    (formal reduction plus Laplace resummation).  The two pipelines
-    share no code path, so agreement validates both.
+    (formal reduction, diagonal Pade continuation of its Borel transform,
+    Laplace resummation).  The two pipelines share no code path, so
+    agreement validates both.
     """
     d = mpf(d)
     if reps is None:
@@ -669,7 +669,6 @@ def comparison_check(one_form, crit, d, z_grid, reps=None, tol=mpf("1e-6"),
     for (r, c), vals in sm.entries.items():
         series = sm.asy[(r, c)]
         summed = summation.borel_sum(series, d, sm.z_grid, tail_cut=quad_tol,
-                                     method=borel_method,
                                      known_singularities=sing)
         entry_worst = mpf(0)
         for (z, resummed), direct in zip(summed.points, vals):

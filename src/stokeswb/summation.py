@@ -1,15 +1,16 @@
 """Borel-plane continuation, directional Laplace transform, 1-summation.
 
 A divergent Gevrey-1 series is resummed along a direction d by
-transporting its Borel transform along the ray arg(zeta) = d (diagonal
-Pade approximation or stepwise Taylor re-expansion) and applying the
-truncated Laplace integral z^-1 * int_0^T g(zeta) exp(-zeta/z) dzeta,
-with T chosen from a fitted exponential-size bound.
+continuing its Borel transform along the ray arg(zeta) = d by diagonal
+Pade approximation (checked by the agreement of two consecutive orders)
+and applying the truncated Laplace integral
+z^-1 * int_0^T g(zeta) exp(-zeta/z) dzeta, with T chosen from a fitted
+exponential-size bound.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -18,7 +19,12 @@ from . import gevrey
 from .errors import (ContinuationDiverged, DivergentLaplace, EmptyGrid,
                      GrowthTooFast, NearSingularity, SingularRay)
 from .gevrey import GevreySeries, UnboundedSector, formal_borel
-from .scalar import adaptive_gauss, legendre_nodes, to_mpc
+from .scalar import adaptive_gauss, to_mpc
+
+# guard distance around a known singularity, relative to |zeta|
+_GUARD_FACTOR = mpf("1e-3")
+# relative agreement two consecutive Pade orders must reach
+_AGREE_REL = mpf("1e-8")
 
 
 @dataclass(frozen=True)
@@ -31,35 +37,25 @@ class ExpSizeEstimate:
 
 
 class BorelFunction:
-    """Taylor data at 0 in the Borel plane plus a continuation method.
+    """Taylor data at 0 in the Borel plane, continued by diagonal Pade.
 
-    method is 'pade' (diagonal Pade of order pade_order, default N//2,
-    declared stable when two consecutive orders agree) or
-    'taylor_stepping' (repeated re-expansion along the segment to the
-    evaluation point).  known_singularities feed both the guard distance
-    checks and the stepping radius.
+    Values come from the diagonal Pade approximant of order pade_order
+    (default N//2), declared stable when two consecutive orders agree
+    (see `continue_borel`).  known_singularities feed the guard distance
+    checks.
     """
 
-    def __init__(self, base, method="pade", pade_order=None, step_size=None,
-                 known_singularities=(), guard_factor=mpf("1e-3"),
-                 step_fraction=mpf("0.25")):
-        if method not in ("pade", "taylor_stepping"):
-            raise ValueError("method must be 'pade' or 'taylor_stepping'")
+    def __init__(self, base, pade_order=None, known_singularities=()):
         self.base = base
-        self.method = method
         self.pade_order = pade_order if pade_order is not None else base.trunc_order // 2
-        self.step_size = step_size
-        self.step_fraction = mpf(step_fraction)
         self.known_singularities = tuple(to_mpc(s) for s in known_singularities)
         for i, s in enumerate(self.known_singularities):
             for t in self.known_singularities[:i]:
                 if s == t:
                     raise ValueError("known_singularities must be pairwise distinct")
-        self.guard_factor = mpf(guard_factor)
         if self.radius_estimate() <= 0:
             raise ValueError("Taylor data has vanishing convergence radius estimate")
         self._pade_cache = {}
-        self._chain_cache = {}
 
     # -- convergence radius by root test over stored coefficients --
     def radius_estimate(self):
@@ -75,11 +71,11 @@ class BorelFunction:
         return 1 / worst
 
     def guard_distance(self, zeta):
-        return self.guard_factor * max(abs(to_mpc(zeta)), mpf(1))
+        return _GUARD_FACTOR * max(abs(to_mpc(zeta)), mpf(1))
 
     def _check_guard(self, zeta):
         zeta = to_mpc(zeta)
-        guard = self.guard_factor * abs(zeta)
+        guard = _GUARD_FACTOR * abs(zeta)
         for s in self.known_singularities:
             if abs(zeta - s) < guard:
                 raise NearSingularity(f"zeta within guard distance of {s}")
@@ -110,95 +106,8 @@ class BorelFunction:
         p, q = self._pade(order)
         return mpmath.fdot(p, powers) / mpmath.fdot(q, powers)
 
-    # -- Taylor stepping --
-    def _local_radius(self, center):
-        r = self.radius_estimate()
-        if self.known_singularities:
-            r = min(abs(center - s) for s in self.known_singularities)
-        return r
-
-    def _chain(self, key):
-        chain = self._chain_cache.get(key)
-        if chain is None:
-            chain = self._chain_cache[key] = [(mpc(0), list(self.base.coeffs))]
-        return chain
-
-    def _advance(self, chain, target, land=False):
-        """Add re-expansion centers until `target` is within evaluation reach.
-
-        Centers step along the straight leg from the current frontier
-        toward the target; the walk stops once some center sees the
-        target inside a comfortable fraction of its convergence disk,
-        or lands exactly on the target when `land` is set (intermediate
-        waypoints must be honored, they steer around branch cuts).
-        """
-        n_base = self.base.trunc_order
-        while True:
-            center, coeffs = chain[-1]
-            gap = target - center
-            if land:
-                if abs(gap) <= mpf("1e-30") * max(abs(target), mpf(1)):
-                    return chain
-            elif abs(gap) <= mpf("0.35") * self._local_radius(center):
-                return chain
-            step = self.step_size or self.step_fraction * self._local_radius(center)
-            new_center = center + gap / abs(gap) * min(step, abs(gap))
-            shifted = _shift_with_retention(coeffs, new_center - center,
-                                            self._local_radius(center))
-            if shifted is None:
-                raise ContinuationDiverged(
-                    f"stepping ran out of reliable coefficients at {new_center}")
-            # local rational resummation: fit a diagonal approximant to the
-            # retained data, then regenerate a full-length clean expansion
-            regen = _pade_regenerate(shifted, n_base,
-                                     min((len(shifted) - 1) // 2, self.pade_order),
-                                     radius=self._local_radius(new_center))
-            chain.append((new_center, regen))
-            if len(chain) > 4000:
-                raise ContinuationDiverged("taylor stepping chain too long")
-
-    def _eval_stepping(self, zeta, agree_rel=mpf("1e-9"), abs_budget=None,
-                       via=()):
-        zeta = to_mpc(zeta)
-        if abs(zeta) == 0:
-            return self.base.coeffs[0]
-        waypoints = tuple(to_mpc(w) for w in via)
-        key = tuple(mpmath.nstr(w, 25) for w in waypoints) or \
-            mpmath.nstr(mpmath.arg(zeta), 25)
-        chain = self._chain(key)
-        for w in waypoints:
-            self._advance(chain, w, land=True)
-        self._advance(chain, zeta)
-        ranked = sorted(chain, key=lambda cc: abs(zeta - cc[0]))
-        vals = []
-        for center, coeffs in ranked[:2]:
-            dz = zeta - center
-            acc = mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * dz + c
-            vals.append(acc)
-        if len(vals) == 2:
-            tol = agree_rel * max(abs(vals[0]), abs(vals[1]), mpf(1))
-            if abs_budget is not None:
-                tol = max(tol, mpf(abs_budget))
-            if abs(vals[0] - vals[1]) > tol:
-                raise ContinuationDiverged(
-                    f"stepping centers disagree at zeta={zeta}")
-        return vals[0]
-
     def __call__(self, zeta):
         return continue_borel(self, zeta)
-
-
-def _taylor_shift(coeffs, dz):
-    """Coefficients of p(x + dz) given those of p(x) (truncated Taylor shift)."""
-    n = len(coeffs) - 1
-    out = list(coeffs)
-    # classical synthetic division cascade: O(n^2), numerically benign
-    for k in range(n):
-        for m in range(n - 1, k - 1, -1):
-            out[m] = out[m] + dz * out[m + 1]
-    return out
 
 
 def _expand_rational(p, q, n_out):
@@ -212,125 +121,31 @@ def _expand_rational(p, q, n_out):
     return out
 
 
-def _pade_regenerate(coeffs, n_out, order, radius=None, fit_tol=mpf("1e-12")):
-    """De-noised expansion of the data through a local rational model.
-
-    The smallest diagonal order whose regenerated expansion reproduces
-    the retained data (weighted at the next evaluation radius) is kept;
-    small orders first avoids spurious pole-zero doublets of overfitted
-    approximants.  Regenerated coefficients breaking the growth envelope
-    (2/radius)^m are dropped; if no order reproduces the data, the raw
-    retained coefficients are returned unchanged.
-    """
-    n_data = len(coeffs) - 1
-    if order < 1 or n_data < 4:
-        return list(coeffs)
-    r_eval = mpf("0.35") * radius if radius is not None and not mpmath.isinf(radius) \
-        else mpf(1)
-    value_scale = max(abs(coeffs[0]), abs(coeffs[1]) * r_eval, mpf("1e-30"))
-    for o in range(1, order + 1):
-        try:
-            p, q = mpmath.pade([mpc(c) for c in coeffs[: 2 * o + 1]], o, o)
-        except ZeroDivisionError:
-            continue
-        trial = _expand_rational(p, q, n_data)
-        err = mpf(0)
-        weight = mpf(1)
-        for m in range(n_data + 1):
-            err += abs(trial[m] - coeffs[m]) * weight
-            weight *= r_eval
-        if err > fit_tol * value_scale:
-            continue
-        out = _expand_rational(p, q, n_out)
-        if radius is not None and not mpmath.isinf(radius):
-            # growth cap beyond the validated data window: spurious
-            # pole-zero doublets of the fit explode much faster than any
-            # coefficient of a function analytic on |dz| < radius can
-            grow = 2 / mpf(radius)
-            anchor = mpf("1e-60")
-            for k in range(max(0, n_data - 4), n_data + 1):
-                anchor = max(anchor, abs(out[k]) * grow ** (n_data - k))
-            env = anchor
-            keep = len(out)
-            for m in range(n_data + 1, len(out)):
-                env *= grow
-                if abs(out[m]) > env:
-                    keep = m
-                    break
-            if keep <= n_data:
-                return list(coeffs)
-            out = out[:keep]
-        return out
-    return list(coeffs)
-
-
-def _shift_with_retention(coeffs, dz, rho, budget=mpf("1e-14"), min_keep=8,
-                          eval_fraction=mpf("0.35")):
-    """Taylor shift that drops coefficients drowned by the truncation tail.
-
-    Shifting a truncated series injects into coefficient k the noise
-    sum_{m>N} C(m,k) c_m dz^(m-k); modelling |c_m| ~ |c_N| rho^-(m-N)
-    (root-test decay of the stored data) gives a computable estimate.
-    A coefficient is kept while its noise, weighted by the evaluation
-    radius of the next step, stays below `budget` times the value scale.
-    Returns None when fewer than `min_keep` coefficients survive.
-    """
-    n = len(coeffs) - 1
-    shifted = _taylor_shift(coeffs, dz)
-    top = abs(coeffs[n])
-    if top == 0:
-        return shifted
-    q = abs(dz) / rho
-    if q >= 1:
-        return None
-    value_scale = max(abs(shifted[0]), abs(shifted[1]) if n >= 1 else mpf(0),
-                      mpf("1e-30"))
-    r_eval = eval_fraction * rho
-    keep = n + 1
-    binom = mpf(1)                     # C(n+1, k), updated per k
-    for k in range(n + 1):
-        # dropped tail at coefficient k: leading term m = n+1, geometric in m
-        lead = binom * top * abs(dz) ** (n + 1 - k) / rho
-        ratio = q * mpf(n + 2) / max(n + 2 - k, 1)
-        noise = lead / (1 - ratio) if ratio < 1 else mpf("inf")
-        if noise * r_eval ** k > budget * value_scale:
-            keep = k
-            break
-        binom = binom * (n + 1 - k) / (k + 1)
-    if keep < min_keep:
-        return None
-    return shifted[:keep]
-
-
-def continue_borel(g, zeta, agree_rel=mpf("1e-8"), abs_budget=None, via=()):
+def continue_borel(g, zeta, abs_budget=None):
     """Value of the analytic continuation of g at zeta.
 
-    Pade mode evaluates two consecutive diagonal orders and requires them
-    to agree to `agree_rel` (relative) or `abs_budget` (absolute), which-
-    ever is looser; the powers 1, zeta, ..., zeta^order are formed once,
-    and each numerator and denominator is one `mpmath.fdot` against them
-    (exact products, one rounding).  Stepping mode walks noise-controlled
-    re-expansions along the segment [0, zeta], or through the `via`
-    waypoints when the straight segment runs into a singularity.
+    Two consecutive diagonal Pade orders are evaluated and must agree to
+    `_AGREE_REL` (relative) or `abs_budget` (absolute), whichever is
+    looser, else `ContinuationDiverged` is raised.  The powers 1, zeta,
+    ..., zeta^order are formed once, and each numerator and denominator
+    is one `mpmath.fdot` against them (exact products, one rounding).
+    A value depends only on g's data and zeta, not on earlier calls.
     """
     zeta = to_mpc(zeta)
     g._check_guard(zeta)
-    if g.method == "pade":
-        order = g.pade_order
-        lo = max(order - 1, 1)
-        powers = gevrey._powers(zeta, order)
-        a = g._eval_pade(order, powers)
-        b = g._eval_pade(lo, powers) if lo != order else a
-        scale = max(abs(a), abs(b), mpf(1))
-        tol = agree_rel * scale
-        if abs_budget is not None:
-            tol = max(tol, mpf(abs_budget))
-        if abs(a - b) > tol:
-            raise ContinuationDiverged(
-                f"Pade orders {lo} and {order} disagree at zeta={zeta}")
-        return a
-    return g._eval_stepping(zeta, agree_rel=max(agree_rel, mpf("1e-9")),
-                            abs_budget=abs_budget, via=via)
+    order = g.pade_order
+    lo = max(order - 1, 1)
+    powers = gevrey._powers(zeta, order)
+    a = g._eval_pade(order, powers)
+    b = g._eval_pade(lo, powers) if lo != order else a
+    scale = max(abs(a), abs(b), mpf(1))
+    tol = _AGREE_REL * scale
+    if abs_budget is not None:
+        tol = max(tol, mpf(abs_budget))
+    if abs(a - b) > tol:
+        raise ContinuationDiverged(
+            f"Pade orders {lo} and {order} disagree at zeta={zeta}")
+    return a
 
 
 def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
@@ -357,26 +172,18 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
         raise ContinuationDiverged("too few stable samples for the size fit")
     if max(x for x, _ in logs) < 10 * min(x for x, _ in logs):
         raise ContinuationDiverged("stable samples no longer cover a decade")
-    # 2x2 normal equations for [log C, h]
-    n = len(logs)
-    sx = mpmath.fsum(x for x, _ in logs)
-    sxx = mpmath.fsum(x * x for x, _ in logs)
-    sy = mpmath.fsum(y for _, y in logs)
-    sxy = mpmath.fsum(x * y for x, y in logs)
-    det = n * sxx - sx * sx
-    h = (n * sxy - sx * sy) / det
-    logc = (sy * sxx - sx * sxy) / det
+    h, logc = _line_fit(logs)
     resid = [y - (logc + h * x) for x, y in logs]
     worst = max(resid)
     if worst > residual_cap:
         raise GrowthTooFast(f"fit residual {worst} exceeds cap {residual_cap}")
     # superlinear drift check: lower/upper half slopes
-    mid = sorted(x for x, _ in logs)[n // 2]
+    mid = sorted(x for x, _ in logs)[len(logs) // 2]
     lo = [(x, y) for x, y in logs if x <= mid]
     hi = [(x, y) for x, y in logs if x > mid]
     if len(lo) >= 2 and len(hi) >= 2:
-        h_lo = _slope(lo)
-        h_hi = _slope(hi)
+        h_lo = _line_fit(lo)[0]
+        h_hi = _line_fit(hi)[0]
         # the fitted rate may approach its asymptote from below; flag only
         # growth that keeps accelerating beyond any fixed exponential rate
         if h_hi - h_lo > max(mpf(1), mpf("0.6") * abs(h_hi)):
@@ -386,13 +193,16 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
     return ExpSizeEstimate(mpmath.exp(logc + worst + mpf("1e-20")), h, sector, worst)
 
 
-def _slope(points):
+def _line_fit(points):
+    """Least-squares slope and intercept of y = intercept + slope * x."""
     n = len(points)
     sx = mpmath.fsum(x for x, _ in points)
     sxx = mpmath.fsum(x * x for x, _ in points)
     sy = mpmath.fsum(y for _, y in points)
     sxy = mpmath.fsum(x * y for x, y in points)
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    # 2x2 normal equations
+    det = n * sxx - sx * sx
+    return (n * sxy - sx * sy) / det, (sy * sxx - sx * sxy) / det
 
 
 def _decay_rate(z, d):
@@ -401,11 +211,12 @@ def _decay_rate(z, d):
     return mpmath.cos(mpf(d) - mpmath.arg(z)) / abs(z)
 
 
-def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None, quad_tol=None):
+def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
     """Truncated Laplace transform along direction d, evaluated at z.
 
     The truncation point T solves C*exp((h - rate) T) = tail_cut with
-    rate = cos(arg z - d)/|z|, so the discarded tail is below tail_cut.
+    rate = cos(arg z - d)/|z|, so the discarded tail is below tail_cut;
+    each panel is integrated to tail_cut / 10.
     """
     z = to_mpc(z)
     d = mpf(d)
@@ -425,8 +236,7 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None, quad_tol=None):
             dist = abs(s - t * unit)
             if dist < g.guard_distance(s):
                 raise SingularRay(f"ray arg={d} passes near singularity {s}")
-    if quad_tol is None:
-        quad_tol = tail_cut / 10
+    quad_tol = tail_cut / 10
 
     def integrand(t):
         # continuation error epsilon(t) enters damped by exp(-rate t), so
@@ -502,10 +312,12 @@ def series_hash(s):
     return hashlib.sha256(payload).hexdigest()
 
 
-def borel_sum(s, d, z_grid, tail_cut=mpf("1e-12"), method="pade",
-              known_singularities=None, pade_order=None):
+def borel_sum(s, d, z_grid, tail_cut=mpf("1e-12"), known_singularities=None,
+              pade_order=None):
     """1-summation of a Gevrey series: Laplace of its Borel transform.
 
+    The Borel transform is continued by diagonal Pade (`continue_borel`),
+    so each value depends only on the arguments, not on earlier calls.
     Every z in the grid must satisfy |arg z - d| < pi/2; failures of the
     Laplace precondition propagate.  When no singularity list is given,
     stable approximant poles within a few convergence radii are located
@@ -518,14 +330,14 @@ def borel_sum(s, d, z_grid, tail_cut=mpf("1e-12"), method="pade",
             raise DivergentLaplace(f"z={z} outside the half-plane around d={d}")
     base = formal_borel(s)
     if known_singularities is None:
-        probe = BorelFunction(base, method="pade", pade_order=pade_order)
+        probe = BorelFunction(base, pade_order=pade_order)
         r = probe.radius_estimate()
         if mpmath.isinf(r):
             known_singularities = []
         else:
             known_singularities = locate_borel_singularities(
                 probe, min(8 * r, mpf(50)))
-    g = BorelFunction(base, method=method, pade_order=pade_order,
+    g = BorelFunction(base, pade_order=pade_order,
                       known_singularities=known_singularities)
     size = _default_size(g, d)
     points = [(to_mpc(z), laplace(g, d, z, tail_cut, size=size)) for z in z_grid]
@@ -609,20 +421,18 @@ def _stable_pade_poles(coeffs, order, search_radius, cluster_tol):
     return []
 
 
-def locate_borel_singularities(g, search_radius, cluster_tol=None):
+def locate_borel_singularities(g, search_radius):
     """Stable poles of consecutive diagonal Pade approximants.
 
     The approximants are taken of the derivative of the Taylor data:
     the singular locations coincide with those of g, and differentiation
     sharpens logarithmic branch points into pole-like behavior that the
     rational approximation localizes far more accurately.  A pole is
-    kept when two consecutive orders place it within `cluster_tol`
-    (default 1e-4 * search_radius) of each other; results are sorted by
-    modulus.
+    kept when two consecutive orders place it within 1e-4 * search_radius
+    of each other; results are sorted by modulus.
     """
     search_radius = mpf(search_radius)
-    if cluster_tol is None:
-        cluster_tol = mpf("1e-4") * search_radius
+    cluster_tol = mpf("1e-4") * search_radius
     order = g.pade_order
     if 2 * (order + 1) > g.base.trunc_order:
         order = g.base.trunc_order // 2 - 1

@@ -295,8 +295,7 @@ def test_criterion_12_borel_singularities(gamma):
     form, lat, crit, omega = gamma
     t0 = time.monotonic()
     b = derham.stirling_exponent_series(1, 80)
-    g = summation.BorelFunction(gevrey.formal_borel(b), method="pade",
-                                pade_order=38)
+    g = summation.BorelFunction(gevrey.formal_borel(b), pade_order=38)
     poles = summation.locate_borel_singularities(g, 15)
     targets = lattice.critical_differences([mpc(0)], lat, 15)
     assert targets

@@ -11,7 +11,7 @@ from stokeswb.summation import BorelFunction, borel_sum, continue_borel, laplace
 
 
 def geometric(order=60):
-    return BorelFunction(GevreySeries((mpc(1),) * (order + 1)), method="pade",
+    return BorelFunction(GevreySeries((mpc(1),) * (order + 1)),
                          known_singularities=[mpc(1)])
 
 
@@ -19,14 +19,24 @@ def euler_borel(order=60, **kw):
     # Borel transform of sum (-1)^n n! z^n is the alternating geometric series
     return BorelFunction(GevreySeries(tuple(mpc(-1) ** n
                                             for n in range(order + 1))),
-                         method="pade", known_singularities=[mpc(-1)], **kw)
+                         known_singularities=[mpc(-1)], **kw)
 
 
 class TestContinuation:
     def test_geometric_off_cut(self):
         g = geometric()
-        assert abs(continue_borel(g, 2) - (-1)) < mpf("1e-40")
-        assert abs(continue_borel(g, mpc(0, 3)) - 1 / (1 - mpc(0, 3))) < mpf("1e-40")
+        for zeta in (mpc(2), mpc(0, 3), mpc(-5, 0), mpc(0, 5), mpc(-3, 3),
+                     mpc(2, 4.5)):
+            assert abs(continue_borel(g, zeta) - 1 / (1 - zeta)) < mpf("1e-40")
+
+    def test_pade_vs_stepping_on_geometric(self):
+        # the re-expansion stepping this once compared against is gone; the
+        # closed form 1/(1 - zeta) is the reference, at the order-120 data
+        # and the zeta the comparison used
+        gp = geometric(120)
+        for zeta in (mpc(-5, 0), mpc(0, 5), mpc(-3, 3), mpc(2, 4.5)):
+            exact = 1 / (1 - zeta)
+            assert abs(continue_borel(gp, zeta) - exact) <= mpf("1e-40") * abs(exact)
 
     def test_near_singularity_guard(self):
         with pytest.raises(NearSingularity):
@@ -35,53 +45,13 @@ class TestContinuation:
     def test_stirling_borel_value_between_singularities(self):
         # the target lies between the branch points 2 pi i and 4 pi i on
         # their common axis: the rational approximant's cut runs through
-        # it, so the straight evaluation must refuse; a detoured stepping
-        # gets a finite value, to the modest accuracy that regime allows
+        # it, so the evaluation must refuse
         b = derham.stirling_exponent_series(1, 70)
         sing = [2j * mp.pi * k for k in range(-3, 4) if k != 0]
-        zeta = 3j * mp.pi
-        g_pade = BorelFunction(gevrey.formal_borel(b), method="pade",
-                               known_singularities=sing, pade_order=34)
+        g = BorelFunction(gevrey.formal_borel(b), known_singularities=sing,
+                          pade_order=34)
         with pytest.raises(ContinuationDiverged):
-            continue_borel(g_pade, zeta)
-        g_step = BorelFunction(gevrey.formal_borel(b), method="taylor_stepping",
-                               known_singularities=sing)
-        val = continue_borel(g_step, zeta, via=[mpc(4, 0), mpc(4, 3 * mp.pi)])
-        # independent oracle at doubled precision: the termwise Borel
-        # transform integrates the generating kernel of the coefficients,
-        # evaluated along the same detour (series branch where the closed
-        # form cancels catastrophically)
-        with mp.workprec(mp.prec * 2):
-            bern = derham.bernoulli_numbers(40)
-
-            def kernel(t):
-                if abs(t) < mpf("0.5"):
-                    acc = mpc(0)
-                    for n in range(1, 20):
-                        b2n = mpf(bern[2 * n].numerator) / bern[2 * n].denominator
-                        acc += b2n * t ** (2 * n - 2) / mpmath.factorial(2 * n)
-                    return acc
-                return (1 / (mpmath.exp(t) - 1) - 1 / t + mpf(1) / 2) / t
-
-            oracle = mpmath.quad(kernel, [0, mpc(4, 0), mpc(4, 3 * mp.pi),
-                                          3j * mp.pi])
-        assert mpmath.isfinite(val)
-        assert abs(val - oracle) < mpf("0.05") * abs(oracle)
-        # away from the singular axis the detoured stepping is sharp
-        side = mpc(10, 2)
-        val2 = continue_borel(g_step, side, via=[mpc(5, 1)])
-        with mp.workprec(mp.prec * 2):
-            oracle2 = mpmath.quad(kernel, [0, mpc(5, 1), side])
-        assert abs(val2 - oracle2) < mpf("1e-6") * abs(oracle2)
-
-    def test_pade_vs_stepping_on_geometric(self):
-        gp = geometric(120)
-        gs = BorelFunction(GevreySeries((mpc(1),) * 121), method="taylor_stepping",
-                           known_singularities=[mpc(1)])
-        for zeta in (mpc(-5, 0), mpc(0, 5), mpc(-3, 3), mpc(2, 4.5)):
-            a = continue_borel(gp, zeta)
-            b = continue_borel(gs, zeta)
-            assert abs(a - b) <= mpf("1e-10") * abs(1 / (1 - zeta))
+            continue_borel(g, 3j * mp.pi)
 
     def test_pade_values_match_horner(self):
         # the values from shared powers of zeta against P/Q by Horner
@@ -104,7 +74,7 @@ class TestContinuation:
 
 class TestExpSize:
     def test_constant(self):
-        g = BorelFunction(from_coeffs([1] + [0] * 40), method="pade")
+        g = BorelFunction(from_coeffs([1] + [0] * 40))
         sector = UnboundedSector(0, mpf("0.1"))
         samples = [mpf("0.1") * mpf("1.5") ** k for k in range(12)]
         est = summation.exp_size_one_estimate(g, sector, samples)
@@ -113,10 +83,10 @@ class TestExpSize:
 
     def test_exponential_growth_rate(self):
         g = BorelFunction(gevrey.formal_borel(
-            from_coeffs([mpmath.factorial(n) for n in range(41)])), method="pade")
+            from_coeffs([mpmath.factorial(n) for n in range(41)])))
         # Borel data of sum n! z^n is the geometric series; use exp data instead
         g = BorelFunction(from_coeffs([1 / mpmath.factorial(n)
-                                       for n in range(41)]), method="pade")
+                                       for n in range(41)]))
         sector = UnboundedSector(0, mpf("0.1"))
         samples = [mpf("0.5") * mpf("1.3") ** k for k in range(14)]
         est = summation.exp_size_one_estimate(g, sector, samples)
@@ -142,12 +112,12 @@ class TestExpSize:
 
 class TestLaplace:
     def test_constant_gives_one(self):
-        g = BorelFunction(from_coeffs([1] + [0] * 20), method="pade")
+        g = BorelFunction(from_coeffs([1] + [0] * 20))
         val = laplace(g, 0, mpf("0.5"), tail_cut=mpf("1e-16"))
         assert abs(val - 1) < mpf("1e-12")
 
     def test_linear_gives_z(self):
-        g = BorelFunction(from_coeffs([0, 1] + [0] * 20), method="pade")
+        g = BorelFunction(from_coeffs([0, 1] + [0] * 20))
         z = mpf("0.25")
         val = laplace(g, 0, z, tail_cut=mpf("1e-16"))
         assert abs(val - z) < mpf("1e-12")
@@ -237,6 +207,23 @@ class TestBorelSum:
             borel_sum(dual, 0, [mpf("0.2")], tail_cut=mpf("1e-10"))
 
 
+class TestCallOrder:
+    """A Borel-side value depends on its inputs, not on what ran before."""
+
+    def test_continuation_alone_and_after_a_farther_zeta(self):
+        for near, far in ((mpc(-3, 0), mpc(-8, 0)), (mpc(-2, 2), mpc(-6, 6))):
+            after = geometric()
+            continue_borel(after, far)
+            assert continue_borel(after, near) == continue_borel(geometric(), near)
+
+    def test_sum_alone_and_after_a_larger_grid(self):
+        s = from_coeffs([mpmath.factorial(n) * (-1) ** n for n in range(31)])
+        small = [mpf("0.1"), mpf("0.2")]
+        alone = borel_sum(s, 0, small).points
+        borel_sum(s, 0, small + [mpf("0.3"), mpf("0.45")])
+        assert borel_sum(s, 0, small).points == alone
+
+
 class TestSingularityLocation:
     def test_geometric(self):
         g = geometric(40)
@@ -253,7 +240,7 @@ class TestSingularityLocation:
     def test_stirling_lattice_translates(self, gamma_lattice):
         from stokeswb import lattice as lat_mod
         b = derham.stirling_exponent_series(1, 80)
-        g = BorelFunction(gevrey.formal_borel(b), method="pade", pade_order=38)
+        g = BorelFunction(gevrey.formal_borel(b), pade_order=38)
         poles = summation.locate_borel_singularities(g, 15)
         targets = lat_mod.critical_differences([mpc(0)], gamma_lattice, 15)
         assert targets

@@ -11,10 +11,20 @@ import os
 
 from mpmath import mpf
 
-from stokeswb import betti, derham, stokes
+from stokeswb import betti, derham, gevrey, stokes, summation
+from stokeswb.gevrey import GevreySeries
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
+
+
+def under(spans, i, name):
+    """Whether span i or one of its ancestors is named `name`."""
+    while i >= 0:
+        if spans[i][0] == name:
+            return True
+        i = spans[i][3]
+    return False
 
 
 def load_tracing():
@@ -75,13 +85,27 @@ def test_compose_runs_no_full_products(gamma_form, gamma_omega, monkeypatch):
     spans = tracer.spans
     names = [s[0] for s in spans]
     assert "gevrey.compose" in names and "gevrey.mul" in names
-
-    def under_compose(i):
-        while i >= 0:
-            if spans[i][0] == "gevrey.compose":
-                return True
-            i = spans[i][3]
-        return False
     # compose keeps its truncated Horner steps to itself
     assert not [i for i, name in enumerate(names)
-                if name == "gevrey.mul" and under_compose(spans[i][3])]
+                if name == "gevrey.mul" and under(spans, spans[i][3], "gevrey.compose")]
+
+
+def test_tracer_records_borel_layers():
+    # the dual Stirling series of dx/x at order 26, as `borel-resum` sums
+    # it; borel_sum builds its Borel function afresh, so the sum is cold
+    b = derham.stirling_exponent_series(1, 26)
+    closed = gevrey.exp(gevrey.scale(b, -1))
+    dual = GevreySeries(tuple(c if n % 2 == 0 else -c
+                              for n, c in enumerate(closed.coeffs)))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        summation.borel_sum(dual, 0, [mpf("0.2")], tail_cut=mpf("1e-10"))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["summation.continue_borel.calls"]["value"] > 0
+    assert metrics["summation.pade_solves"]["value"] > 0
+    spans = tracer.spans
+    assert [s for s in spans if s[0] == "scalar.gauss_segment"
+            and under(spans, s[3], "summation.laplace")]
