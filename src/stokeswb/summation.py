@@ -5,7 +5,12 @@ continuing its Borel transform along the ray arg(zeta) = d by diagonal
 Pade approximation (checked by the agreement of two consecutive orders)
 and applying the truncated Laplace integral
 z^-1 * int_0^T g(zeta) exp(-zeta/z) dzeta, with T chosen from a fitted
-exponential-size bound.
+exponential-size bound and rounded up to a power of two.
+
+The quadrature panels lie on the dyadic ladder 0, 1, 2, 4, ..., T and
+split only at midpoints, so every z of a grid reads the Borel function
+at the same nodes.  A `BorelFunction` memoizes its continued values by
+zeta, so each node is continued once for the whole grid.
 """
 
 import hashlib
@@ -34,6 +39,8 @@ class ExpSizeEstimate:
     h: object
     sector: UnboundedSector
     max_residual: object = mpf(0)
+    # samples left out of the fit because their continuation diverged
+    excluded: int = 0
 
 
 class BorelFunction:
@@ -41,8 +48,9 @@ class BorelFunction:
 
     Values come from the diagonal Pade approximant of order pade_order
     (default N//2), declared stable when two consecutive orders agree
-    (see `continue_borel`).  known_singularities feed the guard distance
-    checks.
+    (see `continue_borel`), so pade_order must be at least 2.
+    known_singularities feed the guard distance checks.  What a value
+    derives from zeta alone is memoized by zeta in `_values`.
     """
 
     def __init__(self, base, pade_order=None, known_singularities=()):
@@ -55,7 +63,12 @@ class BorelFunction:
                     raise ValueError("known_singularities must be pairwise distinct")
         if self.radius_estimate() <= 0:
             raise ValueError("Taylor data has vanishing convergence radius estimate")
+        if self.pade_order < 2:
+            raise ContinuationDiverged(
+                f"Pade order {self.pade_order}: the data admit no second order "
+                "to check the continuation against")
         self._pade_cache = {}
+        self._values = {}
 
     # -- convergence radius by root test over stored coefficients --
     def radius_estimate(self):
@@ -106,6 +119,26 @@ class BorelFunction:
         p, q = self._pade(order)
         return mpmath.fdot(p, powers) / mpmath.fdot(q, powers)
 
+    def _continued(self, zeta):
+        """(value, gap) at zeta, computed once per zeta.
+
+        The value is the order-`pade_order` approximant and the gap its
+        distance to the next lower order, kept only when it exceeds
+        `_AGREE_REL` times the larger of the two values and 1 (else None).
+        """
+        got = self._values.get(zeta)
+        if got is None:
+            self._check_guard(zeta)
+            order = self.pade_order
+            powers = gevrey._powers(zeta, order)
+            a = self._eval_pade(order, powers)
+            b = self._eval_pade(order - 1, powers)
+            gap = abs(a - b)
+            if gap <= _AGREE_REL * max(abs(a), abs(b), mpf(1)):
+                gap = None
+            got = self._values[zeta] = (a, gap)
+        return got
+
     def __call__(self, zeta):
         return continue_borel(self, zeta)
 
@@ -126,25 +159,22 @@ def continue_borel(g, zeta, abs_budget=None):
 
     Two consecutive diagonal Pade orders are evaluated and must agree to
     `_AGREE_REL` (relative) or `abs_budget` (absolute), whichever is
-    looser, else `ContinuationDiverged` is raised.  The powers 1, zeta,
-    ..., zeta^order are formed once, and each numerator and denominator
-    is one `mpmath.fdot` against them (exact products, one rounding).
-    A value depends only on g's data and zeta, not on earlier calls.
+    looser, else `ContinuationDiverged` is raised.  abs_budget is a
+    function of no arguments, called only when the relative test fails
+    (in `laplace` it costs an `exp`, and most nodes pass without it).
+    The powers 1, zeta, ..., zeta^order are formed once, and each
+    numerator and denominator is one `mpmath.fdot` against them (exact
+    products, one rounding).  The value and the two orders' gap are
+    memoized on g by zeta, so a zeta is continued once, and a value
+    depends only on g's data and zeta, not on earlier calls.
     """
     zeta = to_mpc(zeta)
-    g._check_guard(zeta)
-    order = g.pade_order
-    lo = max(order - 1, 1)
-    powers = gevrey._powers(zeta, order)
-    a = g._eval_pade(order, powers)
-    b = g._eval_pade(lo, powers) if lo != order else a
-    scale = max(abs(a), abs(b), mpf(1))
-    tol = _AGREE_REL * scale
-    if abs_budget is not None:
-        tol = max(tol, mpf(abs_budget))
-    if abs(a - b) > tol:
-        raise ContinuationDiverged(
-            f"Pade orders {lo} and {order} disagree at zeta={zeta}")
+    a, gap = g._continued(zeta)
+    if gap is not None:
+        if abs_budget is None or gap > abs_budget():
+            order = g.pade_order
+            raise ContinuationDiverged(
+                f"Pade orders {order - 1} and {order} disagree at zeta={zeta}")
     return a
 
 
@@ -152,8 +182,10 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
     """Least-squares fit of log|g| <= log C + h |zeta| over the samples.
 
     The returned (C, h) is shifted so the bound holds at every sample.
-    Raises GrowthTooFast when the shift is larger than `residual_cap`,
-    i.e. the residuals grow beyond any linear-in-|zeta| law.
+    Samples whose continuation diverges are left out of the fit and
+    counted in the estimate's `excluded`.  Raises GrowthTooFast when the
+    shift is larger than `residual_cap`, i.e. the residuals grow beyond
+    any linear-in-|zeta| law.
     """
     samples = [to_mpc(s) for s in samples]
     if not samples:
@@ -190,7 +222,8 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
             raise GrowthTooFast(
                 f"slope grows with radius ({h_lo} -> {h_hi}): not of exponential size one")
     h = max(h, mpf(0))
-    return ExpSizeEstimate(mpmath.exp(logc + worst + mpf("1e-20")), h, sector, worst)
+    return ExpSizeEstimate(mpmath.exp(logc + worst + mpf("1e-20")), h, sector, worst,
+                           len(samples) - len(logs))
 
 
 def _line_fit(points):
@@ -214,9 +247,20 @@ def _decay_rate(z, d):
 def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
     """Truncated Laplace transform along direction d, evaluated at z.
 
-    The truncation point T solves C*exp((h - rate) T) = tail_cut with
-    rate = cos(arg z - d)/|z|, so the discarded tail is below tail_cut;
-    each panel is integrated to tail_cut / 10.
+    The truncation point solves C*exp((h - rate) T) = tail_cut with
+    rate = cos(arg z - d)/|z|, so the discarded tail is below tail_cut,
+    and is rounded up to the next edge of the panel ladder 0, 1, 2, 4,
+    ....  Each ladder panel is integrated to tail_cut / 10 by adaptive
+    Gauss-Legendre, which splits at midpoints, so the nodes of every z
+    are dyadic points of one ray and g's memo continues each node once.
+
+    The rounding can nearly double how far the integral reaches, and a
+    ray that comes within the guard distance of a known singularity
+    anywhere on [0, T], its end included, raises SingularRay.  So a z
+    whose unrounded cut-off stopped short of a singularity is refused
+    (C = 1, h = 0, tail_cut 1e-10, d = pi/2, z = 0.2i: the unrounded T
+    is about 4.6, the rounded 8 passes the dual Stirling singularity
+    2 pi i).
     """
     z = to_mpc(z)
     d = mpf(d)
@@ -228,12 +272,18 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
             f"decay rate {rate} does not dominate growth {size.h} at z={z}")
     T = mpmath.log(max(size.C, mpf(1)) / tail_cut) / (rate - size.h)
     T = max(T, 4 * abs(z))
+    edges = [mpf(0), mpf(1)]
+    while edges[-1] < T:
+        edges.append(2 * edges[-1])
+    T = edges[-1]
     unit = mpmath.exp(1j * d)
-    # reject rays passing within the guard distance of a known singularity
+    # reject rays passing within the guard distance of a known singularity;
+    # the nearest point of [0, T] to one past the end is the end, which a
+    # power-of-two T can put on a singularity
     for s in g.known_singularities:
         t = mpmath.re(s * mpmath.conj(unit))
-        if 0 < t < T:
-            dist = abs(s - t * unit)
+        if t > 0:
+            dist = abs(s - min(t, T) * unit)
             if dist < g.guard_distance(s):
                 raise SingularRay(f"ray arg={d} passes near singularity {s}")
     quad_tol = tail_cut / 10
@@ -241,15 +291,12 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
     def integrand(t):
         # continuation error epsilon(t) enters damped by exp(-rate t), so
         # the acceptable absolute error grows like exp(+rate t)
-        budget = mpf(tail_cut) * rate * mpmath.exp(rate * mpmath.re(t)) / 20
+        def budget():
+            return mpf(tail_cut) * rate * mpmath.exp(rate * mpmath.re(t)) / 20
         return (continue_borel(g, t * unit, abs_budget=budget)
                 * mpmath.exp(-t * unit / z))
 
-    # panels sized to the exponential scale keep the adaptive depth small
-    npanels = max(4, int(mpmath.ceil(T * rate / 3)))
-    npanels = min(npanels, 400)
     total = mpc(0)
-    edges = [T * mpf(i) / npanels for i in range(npanels + 1)]
     for a, b in zip(edges[:-1], edges[1:]):
         total += adaptive_gauss(integrand, a, b, quad_tol, n=32)
     return unit * total / z

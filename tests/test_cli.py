@@ -140,6 +140,15 @@ class TestSum:
                         "--grid", "0.2:0.2:1:1", "--out", tmp_path / "x.csv"])
         assert code == 4
 
+    def test_one_pade_order_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(GevreySeries((mpc(1),) * 3).to_json()))
+        code = run_cli(["sum", path, "--direction", "0",
+                        "--grid", "0.1:0.1:1:1", "--out", tmp_path / "x.csv"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_deterministic_output(self, tmp_path):
         series_path, _ = self.euler_file(tmp_path, order=25)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,9 +10,35 @@ from stokeswb.gevrey import GevreySeries, UnboundedSector, from_coeffs
 from stokeswb.summation import BorelFunction, borel_sum, continue_borel, laplace
 
 
+# one z per stratum of log|z| over [0.05, 0.5], arg z in [-1, 1]
+GRID = [mpc("0.0512", "-0.0358"), mpc("0.0703", "0.0797"), mpc("0.122", "0.0414"),
+        mpc("0.146", "-0.0907"), mpc("0.240", "0.0973"), mpc("0.217", "0.299")]
+
+
 def geometric(order=60):
     return BorelFunction(GevreySeries((mpc(1),) * (order + 1)),
                          known_singularities=[mpc(1)])
+
+
+def dual_stirling(order):
+    # the dual Stirling series of dx/x (its Bernoulli closed form), as the
+    # `borel-resum` benchmark sums it
+    b = derham.stirling_exponent_series(1, order)
+    closed = gevrey.exp(gevrey.scale(b, -1))
+    return GevreySeries(tuple(c if n % 2 == 0 else -c
+                              for n, c in enumerate(closed.coeffs)))
+
+
+def count_pade_evaluations(monkeypatch):
+    """A one-item list that counts the Pade evaluations from now on."""
+    count = [0]
+    evaluate = BorelFunction._eval_pade
+
+    def counted(self, order, powers):
+        count[0] += 1
+        return evaluate(self, order, powers)
+    monkeypatch.setattr(BorelFunction, "_eval_pade", counted)
+    return count
 
 
 def euler_borel(order=60, **kw):
@@ -52,6 +78,12 @@ class TestContinuation:
                           pade_order=34)
         with pytest.raises(ContinuationDiverged):
             continue_borel(g, 3j * mp.pi)
+
+    def test_one_pade_order_refuses(self):
+        # the data of 1 + z + z^2 admit only the [1/1] approximant, whose
+        # pole at zeta = 2 no second order can confirm
+        with pytest.raises(ContinuationDiverged, match="no second order"):
+            borel_sum(GevreySeries((mpc(1),) * 3), 0, [mpf("0.1")])
 
     def test_pade_values_match_horner(self):
         # the values from shared powers of zeta against P/Q by Horner
@@ -101,6 +133,21 @@ class TestExpSize:
         with pytest.raises(GrowthTooFast):
             summation.exp_size_one_estimate(g, sector, samples, residual_cap=3)
 
+    def test_excluded_samples_counted(self):
+        # past |zeta| ~ 9 the Pade orders of the dual Stirling data disagree
+        g = BorelFunction(gevrey.formal_borel(dual_stirling(26)))
+        samples = [mpf("0.5") * mpf("1.25") ** k for k in range(24)]
+        diverged = 0
+        for zeta in samples:
+            try:
+                continue_borel(g, zeta)
+            except ContinuationDiverged:
+                diverged += 1
+        assert diverged > 0
+        est = summation.exp_size_one_estimate(
+            g, UnboundedSector(0, mpf("0.1")), samples)
+        assert est.excluded == diverged
+
     def test_beyond_pole_fit_is_flat(self):
         # with the near-pole region avoided the tail fit sees decay: h ~ 0
         g = geometric()
@@ -132,6 +179,17 @@ class TestLaplace:
         # frozen reference: e * E_1(1) = 0.59634736232319407...
         assert abs(val - mpf("0.596347362323194074341078499369")) < mpf("1e-10")
 
+    def test_padded_polynomial_off_axis(self, monkeypatch):
+        # the size fit puts the growth rate of 1 + z + z^2 near the decay
+        # rate at z = e^i, so the truncation point lies far out; the far
+        # panels must cost little
+        s = from_coeffs([1, 1, 1] + [0] * 6)
+        z = mpmath.expj(1)
+        count = count_pade_evaluations(monkeypatch)
+        value = borel_sum(s, 0, [z]).points[0][1]
+        assert abs(value - s(z)) < mpf("1e-12")
+        assert count[0] < 5000
+
     def test_divergent_outside_half_plane(self):
         g = euler_borel()
         with pytest.raises(DivergentLaplace):
@@ -141,6 +199,28 @@ class TestLaplace:
         g = euler_borel()
         with pytest.raises(SingularRay):
             laplace(g, mp.pi, mpf("-0.3") + mpc(0, "0.001"))
+
+    def test_rounded_cutoff_reaches_singularity(self):
+        # with C = 1, h = 0 and tail_cut 1e-10 the cut-off for z = 0.2i
+        # solves to about 4.6, short of the Borel singularity 2 pi i;
+        # rounded up to 8 it passes it, so the ray is refused (at 0.1i
+        # the cut-off 2.3 rounds up to 4 and the ray is accepted)
+        sing = [2j * mp.pi * k for k in (-2, -1, 1, 2)]
+        g = BorelFunction(gevrey.formal_borel(dual_stirling(26)),
+                          known_singularities=sing)
+        d = mp.pi / 2
+        size = summation.ExpSizeEstimate(mpf(1), mpf(0),
+                                         UnboundedSector(d, mpf("0.1")))
+        tail_cut = mpf("1e-10")
+        laplace(g, d, mpc(0, "0.1"), tail_cut=tail_cut, size=size)
+        with pytest.raises(SingularRay):
+            laplace(g, d, mpc(0, "0.2"), tail_cut=tail_cut, size=size)
+
+    def test_cutoff_ending_on_singularity(self):
+        # the cut-off for z = -0.03 solves to about 0.83 and rounds up to
+        # 1, so the ray ends on the singularity at -1
+        with pytest.raises(SingularRay):
+            laplace(euler_borel(), mp.pi, mpf("-0.03"))
 
 
 class TestBorelSum:
@@ -197,18 +277,45 @@ class TestBorelSum:
 
 
     def test_size_fit_failure_is_typed(self):
-        # the dual Stirling series of dx/x at order 24 (its Bernoulli closed
-        # form): the continuation is stable at too few radii for the size fit
-        b = derham.stirling_exponent_series(1, 24)
-        closed = gevrey.exp(gevrey.scale(b, -1))
-        dual = GevreySeries(tuple(c if n % 2 == 0 else -c
-                                  for n, c in enumerate(closed.coeffs)))
+        # at order 24 the continuation of the dual Stirling data is stable
+        # at too few radii for the size fit
         with pytest.raises(WorkbenchError):
-            borel_sum(dual, 0, [mpf("0.2")], tail_cut=mpf("1e-10"))
+            borel_sum(dual_stirling(24), 0, [mpf("0.2")], tail_cut=mpf("1e-10"))
+
+    def test_grid_shares_borel_values(self, monkeypatch):
+        # the nodes of every z lie on one dyadic ladder, so the grid costs
+        # about what its largest |z| costs alone
+        s = dual_stirling(26)
+        count = count_pade_evaluations(monkeypatch)
+        borel_sum(s, 0, GRID, tail_cut=mpf("1e-10"))
+        grid = count[0]
+        count[0] = 0
+        borel_sum(s, 0, [max(GRID, key=abs)], tail_cut=mpf("1e-10"))
+        assert grid <= mpf("1.25") * count[0]
 
 
 class TestCallOrder:
     """A Borel-side value depends on its inputs, not on what ran before."""
+
+    def test_grid_point_equals_its_sum_alone(self):
+        s = from_coeffs([mpmath.factorial(n) * (-1) ** n for n in range(31)])
+        points = borel_sum(s, 0, GRID).points
+        for z, value in points:
+            assert borel_sum(s, 0, [z]).points == [(z, value)]
+
+    def test_laplace_alone_and_after_other_z(self):
+        g = euler_borel(40)
+        size = summation._default_size(g, 0)
+        z = GRID[2]
+        alone = laplace(g, 0, z, size=size)
+        for other in GRID[::-1]:
+            laplace(g, 0, other, size=size)
+        assert laplace(g, 0, z, size=size) == alone
+        # and with the other z's nodes continued first
+        after = euler_borel(40)
+        for other in GRID[::-1]:
+            laplace(after, 0, other, size=size)
+        assert laplace(after, 0, z, size=size) == alone
 
     def test_continuation_alone_and_after_a_farther_zeta(self):
         for near, far in ((mpc(-3, 0), mpc(-8, 0)), (mpc(-2, 2), mpc(-6, 6))):
