@@ -2,14 +2,21 @@
 
 The contour integral of exp(-f/z) * omega along a traced ray is one sum
 over one sequence of z-independent quadrature nodes kept on the ray, in
-flow order: the straight gap from the zero to the seed, the chords
-along the sampled flow line, and, on a ray that ends in a simple pole,
-the straightened tail into the pole.  f at the nodes comes from the
-ray's closed-form primitive (`derham.Primitive`) alone, never from the
-formal side's series, and each part
-keeps w * omega at its nodes per omega, so one trace serves a whole z
-grid at one exp per node.  The gap and the tail do not depend on the
-chord span, so every flow-line table of the ray shares them.
+flow order: the straight gap out of the zero, the chords along the
+sampled flow line from where the gap ends, and, on a ray that ends in a
+simple pole, the straightened tail into the pole.  f at the nodes comes
+from the ray's closed-form primitive (`derham.Primitive`) alone, never
+from the formal side's series, and each part keeps w * omega at its
+nodes per omega, so one trace serves a whole z grid at one exp per node.
+
+The gap is laid per chord span: it runs from the zero to the last
+sample of the first trace up to which every sample lies in the disk
+where the seed is placed (radius 2 `ThimbleRay._step_cap` at the zero)
+and within one span of the critical value.  That disk holds no pole or
+other zero, so the straight segment integrates the same as the traced
+path (Cauchy), and near the zero, where f is nearly flat, a few panels
+replace the many short chords that the step cap would lay there.  The
+pole tail does not depend on the span, so every span shares it.
 
 The sequence holds only the nodes its sums read.  The chord span in f
 is the largest power of two at which the 12-point Gauss-Legendre
@@ -41,7 +48,7 @@ from .scalar import legendre_nodes, to_mpc
 
 # Gauss-Legendre nodes per flow-line chunk
 _CHORD_NODES = 12
-# the gap from the zero to the seed: panels, and nodes per panel
+# the straight gap out of the zero: panels, and nodes per panel
 _GAP_PANELS, _GAP_NODES = 3, 16
 # the straightened simple-pole tail: panels per unit tau, nodes per panel
 _TAIL_PANELS_PER_UNIT, _TAIL_NODES = 2, 10
@@ -81,9 +88,20 @@ class _Nodes:
 
 
 class _SeedGap(_Nodes):
-    """The straight segment from the zero q to the seed, in the disk where
-    the seed was placed (Cauchy), with f = c + primitive.increment(q, x);
-    laid in one batch."""
+    """The straight segment from the zero q to sample `end` of the first
+    trace, with f = c + primitive.increment(q, x); laid in one batch.
+
+    `_gap_end` keeps every sample it covers inside the disk of radius
+    2 _step_cap(q) around q, where the seed is placed: the disk holds no
+    pole or other zero, so the segment integrates the same as the traced
+    path (Cauchy).  It also keeps |f - c| at most the chord span there;
+    f - c grows like |x - q|^(m+1) along the segment, so none of the
+    panels spans more f than one chord.
+    """
+
+    def __init__(self, ray, end):
+        super().__init__(ray)
+        self.end = end
 
     def lay(self):
         if self.nodes:
@@ -91,7 +109,7 @@ class _SeedGap(_Nodes):
         ray = self.ray
         q = to_mpc(ray.one_form.zeros[ray.j].location)
         c = ray.crit.values[ray.j]
-        half = (ray.samples[0][1] - q) / (2 * _GAP_PANELS)
+        half = (ray.samples[self.end][1] - q) / (2 * _GAP_PANELS)
         for p in range(_GAP_PANELS):
             mid = q + (2 * p + 1) * half
             for xg, wg in legendre_nodes(_GAP_NODES):
@@ -99,6 +117,22 @@ class _SeedGap(_Nodes):
                 self.nodes.append((x, c + ray.primitive.increment(q, x),
                                    wg * half, "affine"))
         return True
+
+
+def _gap_end(ray, df_max):
+    """The last sample k of the first trace such that every sample 0..k
+    lies within 2 _step_cap(q) of the zero q with |f - c| <= df_max;
+    0, the seed, when sample 1 does not."""
+    q = to_mpc(ray.one_form.zeros[ray.j].location)
+    c = ray.crit.values[ray.j]
+    radius = 2 * ray._step_cap("affine", q)
+    k = 0
+    while k + 1 < ray.n_traced:
+        _, x, f = ray.samples[k + 1]
+        if abs(x - q) > radius or abs(f - c) > df_max:
+            break
+        k += 1
+    return k
 
 
 class _RayTable(_Nodes):
@@ -119,17 +153,18 @@ class _RayTable(_Nodes):
     chord, and the traced f there.
 
     `lay` lays the next chord of the one greedy sequence over the ray's
-    samples.  A chord that reaches the last sample of an irregular tail
-    grows the ray (`ThimbleRay.grow`), so no chord is cut at a traced
-    end, and the chords a sum reads do not depend on what ran before it.
+    samples from sample `start`, where the span's seed gap ends.  A
+    chord that reaches the last sample of an irregular tail grows the
+    ray (`ThimbleRay.grow`), so no chord is cut at a traced end, and the
+    chords a sum reads do not depend on what ran before it.
     """
 
-    def __init__(self, ray, df_max):
+    def __init__(self, ray, df_max, start=0):
         super().__init__(ray)
         self.df_max = mpf(df_max)
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
-        self._consumed = 1       # ray.samples[0] is the seed
+        self._consumed = start + 1   # the first chord starts at sample start
 
     def lay(self):
         """Lay the next chord greedily; False once a finite ray is covered."""
@@ -232,15 +267,15 @@ def _pole_chart(ray):
 class _RayQuadrature:
     """The node sequence of one traced ray, kept on the ray.
 
-    The seed gap and the pole tail do not depend on the chord span, so
-    one of each serves every flow-line table of the ray; the tables are
-    keyed by their span df_max.
+    Each chord span df_max has its own seed gap, out to `_gap_end` of
+    that span, and its own flow-line table, whose chords start where the
+    gap ends.  The pole tail does not depend on the span, so one serves
+    them all.
     """
 
     def __init__(self, ray):
         self.ray = ray
-        self.gap = _SeedGap(ray)
-        self.tables = {}
+        self.spans = {}          # df_max -> (gap, table)
         self.tail = _PoleTail(ray) if ray.terminal.pole_order == 1 else None
 
     @classmethod
@@ -250,12 +285,13 @@ class _RayQuadrature:
         return ray.quadrature
 
     def parts(self, df_max):
-        """The gap, the chords at span df_max and the tail, in flow order."""
+        """The gap and chords of span df_max, then the tail, in flow order."""
         df_max = mpf(df_max)
-        if df_max not in self.tables:
-            self.tables[df_max] = _RayTable(self.ray, df_max)
-        return [p for p in (self.gap, self.tables[df_max], self.tail)
-                if p is not None]
+        if df_max not in self.spans:
+            end = _gap_end(self.ray, df_max)
+            self.spans[df_max] = (_SeedGap(self.ray, end),
+                                  _RayTable(self.ray, df_max, end))
+        return [p for p in (*self.spans[df_max], self.tail) if p is not None]
 
 
 def _exp_sum(terms, z, stop_decay):
@@ -324,15 +360,15 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     """Integral of exp(-f/z) omega from the zero along one outgoing ray.
 
     One sum over the ray's node sequence in flow order: the straight
-    gap from the zero to the seed, the chords of span df_max (by default
-    the largest span `_quantized_df` allows at this |z| and tol), and on
-    a ray into a simple pole the straightened tail.  Its reach is set by
-    the sum alone: nodes are laid, and an irregular tail grown, up to
-    where Re(f/z) passes the decay cut-off of `_cutoffs`, past which no
-    node counts.  A simple-pole tail must decay at a rate above 0.05
-    per unit of its parameter; on an irregular tail the analytic
-    remainder bound at the first node past the cut-off must be below
-    tol_abs.
+    gap out of the zero and the chords from its end, both at span df_max
+    (by default the largest span `_quantized_df` allows at this |z| and
+    tol), and on a ray into a simple pole the straightened tail.  Its
+    reach is set by the sum alone: nodes are laid, and an irregular tail
+    grown, up to where Re(f/z) passes the decay cut-off of `_cutoffs`,
+    past which no node counts.  A simple-pole tail must decay at a rate
+    above 0.05 per unit of its parameter; on an irregular tail the
+    analytic remainder bound at the first node past the cut-off must be
+    below tol_abs.
     """
     z = to_mpc(z)
     rate = mpmath.cos(ray.d - mpmath.arg(z)) / abs(z)
@@ -525,7 +561,8 @@ class StokesFactor:
     direction_b: object
     entries: list                # matrix of ExpSum
     fit_residual: object
-    overlap_grid: list
+    overlap_grid: list           # the grid points the fit used
+    dropped: list                # grid points left out of the fit
 
     def evaluate(self, z):
         return [[e.evaluate(z) for e in row] for row in self.entries]
@@ -556,6 +593,8 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
     fitted by linear least squares over exponentials
     exp(((c_j' - c_j) + mu(gamma))/z) with ||gamma|| up to the basis
     bound; the residual is the worst absolute mismatch over the grid.
+    Grid points where A is singular or its 1-norm condition number
+    exceeds cond_cap are left out of the fit and listed in `dropped`.
     """
     grid = [to_mpc(z) for z in xi_a.z_grid]
     if len(grid) != len(xi_b.z_grid) or any(
@@ -567,15 +606,18 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
         raise ValueError("square matrices required for transition fitting")
     s_samples = []
     kept = []
+    dropped = []
     for i, z in enumerate(grid):
         a = mpmath.matrix(xi_a.matrix_at(i))
         b = mpmath.matrix(xi_b.matrix_at(i))
         try:
             a_inv = a ** -1
         except ZeroDivisionError:
+            dropped.append(z)
             continue
         cond = mpmath.mnorm(a, 1) * mpmath.mnorm(a_inv, 1)
         if cond > cond_cap:
+            dropped.append(z)
             continue
         s_samples.append((b * a_inv).T)
         kept.append(z)
@@ -610,7 +652,8 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
     if worst > residual_tol:
         raise FitResidualTooLarge(
             f"fit residual {mpmath.nstr(worst, 6)} exceeds {residual_tol}")
-    factor = StokesFactor(xi_a.direction, xi_b.direction, entries, worst, kept)
+    factor = StokesFactor(xi_a.direction, xi_b.direction, entries, worst, kept,
+                          dropped)
     _assert_near_identity(factor, xi_a.row_index, c_vals, residual_tol)
     return factor
 

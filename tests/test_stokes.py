@@ -214,12 +214,14 @@ class TestNodeTable:
     def test_one_sequence_per_ray(self, gamma_form, gamma_crit, gamma_omega,
                                   monkeypatch):
         # the d = 0 backward ray ends in the simple pole at 0: two z with
-        # different chord spans share its seed gap and pole tail, and omega
-        # is evaluated once per node laid over gap, chords and tail
+        # different chord spans lay one seed gap each and share the pole
+        # tail, and omega is evaluated once per node laid over gaps,
+        # chords and tail
         ray = fresh_ray(gamma_form, gamma_crit, 1)
         assert ray.terminal.pole_order == 1
         tol, zs = mpf("1e-12"), (mpf("0.1"), mpf("0.45"))
-        assert len({stokes._quantized_df(z, tol) for z in zs}) == 2
+        spans = [stokes._quantized_df(z, tol) for z in zs]
+        assert len(set(spans)) == 2
         calls = []
         plain = RationalForm.__call__
         alpha = (gamma_form.form, gamma_form.form.at_infinity())
@@ -234,11 +236,100 @@ class TestNodeTable:
             stokes.ray_integral(ray, gamma_omega, z, tol)
         monkeypatch.setattr(RationalForm, "__call__", plain)
         quad = ray.quadrature
-        assert len(quad.tables) == 2
-        assert len(quad.gap.nodes) == stokes._GAP_PANELS * stokes._GAP_NODES
+        assert set(quad.spans) == set(spans)
+        parts = [quad.parts(span) for span in spans]
+        gaps = [p[0] for p in parts]
+        assert gaps[0] is not gaps[1]
+        assert parts[0][2] is parts[1][2] is quad.tail
         assert quad.tail.nodes
-        chords = sum(len(table.nodes) for table in quad.tables.values())
-        assert len(calls) == len(quad.gap.nodes) + chords + len(quad.tail.nodes)
+        assert all(len(gap.nodes) == stokes._GAP_PANELS * stokes._GAP_NODES
+                   for gap in gaps)
+        laid = sum(len(part.nodes) for pair in quad.spans.values()
+                   for part in pair)
+        assert len(calls) == laid + len(quad.tail.nodes)
+
+    def test_gap_stays_in_the_seed_disk_and_the_span(self, gamma_form,
+                                                     gamma_crit, gamma_omega):
+        # every sample the gap covers lies within 2 step caps of the zero
+        # and within one span of c; the span's first chord starts where
+        # the gap ends; the next sample breaks one of the two bounds
+        q = gamma_form.zeros[0].location
+        c = gamma_crit.values[0]
+        tol = mpf("1e-12")
+        for ell in (0, 1):
+            ray = fresh_ray(gamma_form, gamma_crit, ell)
+            radius = 2 * ray._step_cap("affine", q)
+            for z in (mpf("0.02"), mpf("0.1"), mpf("0.45")):
+                span = stokes._quantized_df(z, tol)
+                stokes.ray_integral(ray, gamma_omega, z, tol)
+                gap, table = ray.quadrature.parts(span)[:2]
+                assert gap.end > 0
+                for _, x, f in ray.samples[:gap.end + 1]:
+                    assert abs(x - q) <= radius
+                    assert abs(f - c) <= span
+                _, x, f = ray.samples[gap.end + 1]
+                assert abs(x - q) > radius or abs(f - c) > span
+                assert table.chords[0][0] == gap.end
+
+    def test_gap_end_is_fixed_by_the_first_trace(self, gamma_form, gamma_crit,
+                                                 gamma_omega):
+        # a sum that grows the ray past its first trace leaves the gap
+        # end of every span where a fresh ray puts it
+        tol = mpf("1e-12")
+        spans = [stokes._quantized_df(z, tol) for z in (mpf("0.1"), mpf("0.5"))]
+        ray = fresh_ray(gamma_form, gamma_crit,
+                        controls=TraceControls(flow_reach=10))
+        before = [stokes._gap_end(ray, span) for span in spans]
+        traced = len(ray.samples)
+        stokes.ray_integral(ray, gamma_omega, mpf("0.5"), tol)
+        assert len(ray.samples) > traced
+        assert [stokes._gap_end(ray, span) for span in spans] == before
+        assert ray.quadrature.parts(spans[1])[0].end == before[1]
+
+    def test_gap_ended_by_the_f_bound(self):
+        # 30 (x - 1)/x dx: f = 30 (x - log x) rises 30 times faster than on
+        # the Gamma form, so the span, not the seed disk, ends the gap;
+        # the d = 0 thimble integral of dx/x is Gamma(30/z) (z/30)^(30/z)
+        form = derham.analyze([-30, 30], [0, 1])
+        lat = derham.period_lattice(form)
+        crit = derham.critical_values(form, 1, [[1]], lat=lat, offset=30)
+        omega = RationalForm((mpc(1),), (mpc(0), mpc(1)))
+        q, c = form.zeros[0].location, crit.values[0]
+        path = betti.trace_thimble(form, crit, 0, 0, 0)
+        tol = mpf("1e-14")
+        for z in (mpf("0.5"), mpf("0.2")):
+            val = stokes.exp_integral(path, omega, crit, z, tol)
+            s = 30 / z
+            ref = mpmath.gamma(s) / s ** s
+            assert abs(val - ref) <= mpf("1e-20") * abs(ref)
+        span = stokes._quantized_df(mpf("0.2"), tol)
+        for ray in (path.forward, path.backward):
+            radius = 2 * ray._step_cap("affine", q)
+            end = ray.quadrature.parts(span)[0].end
+            _, x, f = ray.samples[end + 1]
+            assert abs(x - q) <= radius
+            assert abs(f - c) > span
+
+    def test_cold_thimble_omega_count(self, gamma_form, gamma_crit,
+                                      gamma_omega, monkeypatch):
+        # one z on a cold d = 0 Gamma thimble: the gap out to the edge of
+        # the seed disk replaces the short chords next to the zero
+        monkeypatch.setattr(betti._traced_ray, "cache", {})
+        path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
+        calls = []
+        plain = RationalForm.__call__
+        alpha = (gamma_form.form, gamma_form.form.at_infinity())
+
+        def counted(form, x):
+            if form not in alpha:
+                calls.append(x)
+            return plain(form, x)
+
+        monkeypatch.setattr(RationalForm, "__call__", counted)
+        stokes.exp_integral(path, gamma_omega, gamma_crit, mpf("0.1"),
+                            tol=mpf("1e-10"))
+        monkeypatch.setattr(RationalForm, "__call__", plain)
+        assert len(calls) <= 600
 
     def test_span_from_the_tolerance(self):
         # the largest power of two whose 12-point Gauss remainder for
@@ -253,8 +344,8 @@ class TestNodeTable:
     def test_frontier_sum_is_call_order_free(self, gamma_form, gamma_crit,
                                              gamma_omega):
         # z = 0.1 on the d = 0 forward ray, alone and after z = 0.45 has
-        # laid the same table further along; then against the same span
-        # laid over the whole first trace
+        # laid the same span's chords further along; then against the
+        # same gap and chords laid over the whole first trace
         tol, z = mpf("1e-12"), mpf("0.1")
         span = stokes._quantized_df(z, tol)
         alone, after, full = (fresh_ray(gamma_form, gamma_crit)
@@ -262,14 +353,13 @@ class TestNodeTable:
         stokes.ray_integral(after, gamma_omega, mpf("0.45"), tol, span)
         value = stokes.ray_integral(alone, gamma_omega, z, tol, span)
         assert stokes.ray_integral(after, gamma_omega, z, tol, span) == value
-        assert (len(after.quadrature.tables[span].nodes)
-                > len(alone.quadrature.tables[span].nodes))
-        table = stokes._RayTable(full, span)
+        laid = [ray.quadrature.parts(span)[1] for ray in (alone, after)]
+        assert len(laid[1].nodes) > len(laid[0].nodes)
+        gap, table = stokes._RayQuadrature.of(full).parts(span)
         traced_end = lay_traced(table)
-        assert len(table.nodes) > len(after.quadrature.tables[span].nodes)
+        assert len(table.nodes) > len(laid[1].nodes)
         assert traced_end + 1 == len(alone.samples) == len(after.samples)
         _, stop_decay = stokes._cutoffs(full, z, tol)
-        gap = stokes._RayQuadrature.of(full).gap
         assert stokes._exp_sum(chain(gap.terms(gamma_omega),
                                      table.terms(gamma_omega)),
                                z, stop_decay)[0] == value
@@ -501,6 +591,27 @@ class TestStokesFactor:
             a = f1.entries[0][0].terms.get(g, mpc(0))
             b = f2.entries[0][0].terms.get(g, mpc(0))
             assert abs(a - b) < mpf("1e-8")
+
+    def test_dropped_grid_points_are_reported(self):
+        # diag(1, t) has 1-norm condition number t; a cap between 10 and
+        # 1000 leaves out the last two points, and the singular one is
+        # left out at any cap
+        lat = derham.period_lattice(derham.analyze([0, 0, 1], [1]))
+        grid = [mpf(r) for r in ("0.3", "0.35", "0.4", "0.45", "0.5")]
+        mats = [[[1, 0], [0, t]] for t in (1, 10, 1000, 10 ** 4)]
+        mats.append([[1, 1], [1, 1]])
+        rows = [(0, 0), (0, 1)]
+        entries = {(r, c): [mpc(m[r][c]) for m in mats]
+                   for r in range(2) for c in range(2)}
+        xi = stokes.SectorialMatrix(0, grid, rows, [None, None], entries, {},
+                                    [mpc(0)])
+        fac = stokes.stokes_factor(xi, xi, lat, cond_cap=mpf(100))
+        assert fac.overlap_grid == grid[:2]
+        assert fac.dropped == grid[2:]
+        assert fac.fit_residual == 0
+        fac = stokes.stokes_factor(xi, xi, lat)
+        assert fac.overlap_grid == grid[:4]
+        assert fac.dropped == grid[4:]
 
     def test_cocycle(self, gamma_form, gamma_crit, gamma_lattice):
         # S(d1,d2) S(d2,d3) = S(d1,d3) on a common grid: with d1, d2 on one
