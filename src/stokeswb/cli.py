@@ -276,6 +276,10 @@ def cmd_stokes(args):
     mid = (lo + hi) / 2
     width = (hi - lo) / 2
     r_min, r_max, n_r, n_a, _ = _parse_grid(args.grid)
+    terms = len(stokes.fit_dictionary(lat, args.basis_bound))
+    if n_r * n_a < terms:
+        raise MalformedInput(f"--grid {args.grid} has {n_r * n_a} points; the fit "
+                             f"at --basis-bound {args.basis_bound} needs {terms}")
     grid = []
     for i in range(n_r):
         r = r_min if n_r == 1 else r_min * (r_max / r_min) ** (mpf(i) / (n_r - 1))

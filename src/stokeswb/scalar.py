@@ -137,14 +137,17 @@ def gauss_segment(f, a, b, n=32):
     return total * half
 
 
-def adaptive_gauss(f, a, b, tol, n=32, depth=0):
+def adaptive_gauss(f, a, b, tol, n=32, depth=0, whole=None):
     """Adaptive panel Gauss-Legendre over [a, b] (straight segment).
 
     A panel is split when the whole-panel estimate and the sum of the two
     half-panel estimates disagree by more than 0.1 * tol; a panel that
     still disagrees at depth MAX_DEPTH raises QuadratureNotConverged.
+    Each half is passed down as its child's `whole`, so no panel is
+    summed twice.
     """
-    whole = gauss_segment(f, a, b, n)
+    if whole is None:
+        whole = gauss_segment(f, a, b, n)
     mid = (to_mpc(a) + to_mpc(b)) / 2
     left = gauss_segment(f, a, mid, n)
     right = gauss_segment(f, mid, b, n)
@@ -154,5 +157,5 @@ def adaptive_gauss(f, a, b, tol, n=32, depth=0):
         raise QuadratureNotConverged(
             f"adaptive Gauss-Legendre not converged at depth {MAX_DEPTH} "
             f"near {mpmath.nstr(mid, 15)}")
-    return (adaptive_gauss(f, a, mid, tol / 2, n, depth + 1)
-            + adaptive_gauss(f, mid, b, tol / 2, n, depth + 1))
+    return (adaptive_gauss(f, a, mid, tol / 2, n, depth + 1, left)
+            + adaptive_gauss(f, mid, b, tol / 2, n, depth + 1, right))

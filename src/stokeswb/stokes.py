@@ -15,22 +15,29 @@ where the seed is placed (radius 2 `ThimbleRay._step_cap` at the zero)
 and within one span of the critical value.  That disk holds no pole or
 other zero, so the straight segment integrates the same as the traced
 path (Cauchy), and near the zero, where f is nearly flat, a few panels
-replace the many short chords that the step cap would lay there.  The
-pole tail does not depend on the span, so every span shares it.
+replace the many short chords the flow line would need there.
 
-The sequence holds only the nodes its sums read.  The chord span in f
-is the largest power of two at which the 12-point Gauss-Legendre
-remainder for exp(-f/z) stays below 1e-6 tol (`_quantized_df`), and
-nodes are laid, and omega evaluated on them, only as far along the ray
-as a sum has read: up to where Re(f/z) passes the decay cut-off of the
-z at hand, growing an irregular tail as they go.  A later z reads on
-from there, so a result does not depend on which z ran before.
+Every part is sized by one remainder budget: the 12-point
+Gauss-Legendre remainder stays below 1e-6 tol relative to the
+integrand.  A chord spans at most the largest power of two in f at which
+the remainder for exp(-f/z) meets it (`_quantized_df`), and keeps the
+poles of the form far enough that the Bernstein-ellipse remainder,
+rho^-24 with the exponential's growth on the ellipse, meets it
+(`_bernstein_rho`); zeros do not bound it.  A pole-tail panel
+is the widest power of two in its parameter that meets it at the rate
+the tail's terms turn (`ray_integral`).  Nodes are laid, and omega
+evaluated on them, only as far along the ray as a sum has read: up to
+where Re(f/z) passes the decay cut-off of the z at hand, growing an
+irregular tail as they go.  A later z reads on from there, so a result
+does not depend on which z ran before.
+
 Sectorial matrices collect the normalized integrals over the
 discrete-Fourier cycles; Stokes factors are least-squares fits of
 matrix transition data over the exponential dictionary supplied by the
 period lattice.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -46,12 +53,13 @@ from .lattice import ExpSum
 from .scalar import legendre_nodes, to_mpc
 
 
-# Gauss-Legendre nodes per flow-line chunk
+# Gauss-Legendre nodes per flow-line chunk and per pole-tail panel
 _CHORD_NODES = 12
+# (n!)^4 / ((2n+1) ((2n)!)^3) at n = _CHORD_NODES, about 8.8e-39
+_REMAINDER = (math.factorial(_CHORD_NODES) ** 4
+              / ((2 * _CHORD_NODES + 1) * math.factorial(2 * _CHORD_NODES) ** 3))
 # the straight gap out of the zero: panels, and nodes per panel
 _GAP_PANELS, _GAP_NODES = 3, 16
-# the straightened simple-pole tail: panels per unit tau, nodes per panel
-_TAIL_PANELS_PER_UNIT, _TAIL_NODES = 2, 10
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +143,39 @@ def _gap_end(ray, df_max):
     return k
 
 
+def _chart_poles(ray, chart):
+    """The form's poles in a chart: the finite ones, and in the 1/x chart
+    their images 1/p together with v = 0."""
+    finite = [to_mpc(p.location) for p in ray._poles if p.location != INF]
+    if chart == INF:
+        return [mpc(0)] + [1 / p for p in finite if p != 0]
+    return finite
+
+
 class _RayTable(_Nodes):
-    """Flow-line chords of one traced ray at one chord span df_max.
+    """Flow-line chords of one traced ray at chord span df_max and
+    Bernstein parameter rho.
 
     The nodes lie on the sampled polyline, in the 1/x chart where both
     ends of a chord's first sample interval lie beyond the tracer's
-    switch radius.  A chord may run over several consecutive samples,
-    as long as it spans at most df_max of the primitive and stays
-    within the tracer's step cap at its first sample (in the 1/x chart
-    also within 1/5 of the distance to infinity): the disk it stays in
-    holds no special point, so the chord integrates the same as the
-    traced path (Cauchy).  A sample interval that spans more than df_max
-    is cut into chunks of at most df_max, so the exponential stays
-    resolved to the tolerance df_max was chosen for.  f at each node is
-    the ray's closed-form primitive, chained from node to node; `drift`
-    is the largest gap between that chain, closed at the end of each
-    chord, and the traced f there.
+    switch radius.  A chord runs on over consecutive samples while three
+    bounds hold at the next sample b, seen from the chord's first sample
+    a: it spans at most df_max of the primitive; the poles of the form in
+    the chart keep the remainder within budget (`_ellipse_resolved`);
+    and b lies inside the largest pole-free disk around a.  The span
+    and the poles bound the 12-point Gauss-Legendre remainder of
+    exp(-f/z) omega on the chord to the budget rho^-24 <= 1e-6 tol: the
+    span by the Taylor remainder of the exponential (`_quantized_df`),
+    the poles of omega and the log terms of f through the Bernstein
+    ellipse with foci a and b (`_bernstein_rho`).  Zeros do not bound a
+    chord, since the integrand is analytic there.  The disk holds the
+    samples the chord covers and no pole, so the chord integrates the
+    same as the traced path (Cauchy).  Each bound reads only a and b,
+    so a step costs O(poles).  A sample interval that spans more than
+    df_max is cut into chunks of at most df_max.  f at each node is the
+    ray's closed-form primitive, chained from node to node; `drift` is
+    the largest gap between that chain, closed at the end of each chord,
+    and the traced f there.
 
     `lay` lays the next chord of the one greedy sequence over the ray's
     samples from sample `start`, where the span's seed gap ends.  A
@@ -159,12 +184,41 @@ class _RayTable(_Nodes):
     chords a sum reads do not depend on what ran before it.
     """
 
-    def __init__(self, ray, df_max, start=0):
+    def __init__(self, ray, df_max, rho, start=0):
         super().__init__(ray)
         self.df_max = mpf(df_max)
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
         self._consumed = start + 1   # the first chord starts at sample start
+        self._poles = {chart: _chart_poles(ray, chart) for chart in ("affine", INF)}
+        # a span of df_max meets the budget rho^-24 at |z| = df_max rho
+        # _REMAINDER^(1/24) (`_quantized_df`): f / that is the exponent's
+        # change in units of |z|
+        self._per_z = 1 / (float(self.df_max * rho)
+                           * _REMAINDER ** (1 / (2 * _CHORD_NODES)))
+        self._log_rho = math.log(rho)
+
+    def _ellipse_resolved(self, df, length, focal_sums):
+        """Whether the poles leave the chord's remainder within rho^-24.
+
+        focal_sums holds |p - a| + |p - b| per pole p, so the Bernstein
+        ellipse with foci a and b through the nearest pole has parameter
+        R with (R + 1/R)/2 = c = min(focal_sums)/|b - a|.  By Trefethen's
+        bound the remainder is about R^-24 times the largest integrand on
+        that ellipse, on which exp(-f/z) grows by up to exp(s c/2), s the
+        chord's span in units of |z|; so the chord holds while
+        24 log(R/rho) >= s c/2.  A pole beyond the ellipse that best
+        resolves the exponential alone, R* = 48/s + sqrt((48/s)^2 + 1),
+        leaves the span bound to decide.
+        """
+        if not focal_sums:
+            return True
+        c = max(float(min(focal_sums) / length), 1.0)
+        r_pole = c + math.sqrt(c * c - 1)
+        s = float(df) * self._per_z
+        if s > 0 and r_pole >= 48 / s + math.sqrt((48 / s) ** 2 + 1):
+            return True
+        return 24 * (math.log(r_pole) - self._log_rho) >= s * c / 2
 
     def lay(self):
         """Lay the next chord greedily; False once a finite ray is covered."""
@@ -188,14 +242,16 @@ class _RayTable(_Nodes):
         use_inf = in_inf(start)
         chart = INF if use_inf else "affine"
         a_pt = 1 / x0 if use_inf else x0
-        cap = ray._step_cap(chart, a_pt)
-        if use_inf:
-            cap = min(cap, abs(a_pt) / 5)
+        poles = [(p, abs(p - a_pt)) for p in self._poles[chart]]
+        radius = min((dist for _, dist in poles), default=mpmath.inf)
         end = start + 1
         while has(end + 1) and in_inf(end) == use_inf:
             _, x_next, f_next = samples[end + 1]
             b_next = 1 / x_next if use_inf else x_next
-            if abs(f_next - f0) > self.df_max or abs(b_next - a_pt) > cap:
+            length = abs(b_next - a_pt)
+            df = abs(f_next - f0)
+            if (df > self.df_max or length >= radius or not self._ellipse_resolved(
+                    df, length, [dist + abs(p - b_next) for p, dist in poles])):
                 break
             end += 1
         self._consumed = end + 1
@@ -227,12 +283,14 @@ class _PoleTail(_Nodes):
     In the pole's chart, centred on it, the segment is v = v0 exp(-tau),
     v0 the capture point: at a finite pole the pole's own log term of
     the primitive is exactly -residue * tau there, so f is exact at
-    every node.  Each `lay` adds one panel of 1/_TAIL_PANELS_PER_UNIT in
-    tau; the tail has no end.
+    every node.  Each `lay` adds one 12-node panel of `width` in tau
+    (`ray_integral` sizes it by the 1e-6 tol budget of
+    `_quantized_df`); the tail has no end.
     """
 
-    def __init__(self, ray):
+    def __init__(self, ray, width):
         super().__init__(ray)
+        self.width = mpf(width)
         term, prim = ray.terminal, ray.primitive
         self._chart, self._center = _pole_chart(ray)
         self._x_cap = to_mpc(term.capture_point)
@@ -244,10 +302,9 @@ class _PoleTail(_Nodes):
     def lay(self):
         prim = self.ray.primitive
         own = 0 if self._k is None else prim.poles[self._k][1]
-        a = mpf(len(self.nodes) // _TAIL_NODES) / _TAIL_PANELS_PER_UNIT
-        b = a + 1 / mpf(_TAIL_PANELS_PER_UNIT)
-        mid, half = (a + b) / 2, (b - a) / 2
-        for xg, wg in legendre_nodes(_TAIL_NODES):
+        half = self.width / 2
+        mid = (2 * (len(self.nodes) // _CHORD_NODES) + 1) * half
+        for xg, wg in legendre_nodes(_CHORD_NODES):
             tau = mid + half * xg
             v = self._v0 * mpmath.exp(-tau)
             point = self._center + v
@@ -267,16 +324,16 @@ def _pole_chart(ray):
 class _RayQuadrature:
     """The node sequence of one traced ray, kept on the ray.
 
-    Each chord span df_max has its own seed gap, out to `_gap_end` of
-    that span, and its own flow-line table, whose chords start where the
-    gap ends.  The pole tail does not depend on the span, so one serves
-    them all.
+    Each chord span df_max and Bernstein parameter rho has its own seed
+    gap, out to `_gap_end` of that span, and its own flow-line table,
+    whose chords start where the gap ends.  A simple-pole tail depends
+    only on its panel width, so the spans share one tail per width.
     """
 
     def __init__(self, ray):
         self.ray = ray
-        self.spans = {}          # df_max -> (gap, table)
-        self.tail = _PoleTail(ray) if ray.terminal.pole_order == 1 else None
+        self.spans = {}          # (df_max, rho) -> (gap, table)
+        self.tails = {}          # panel width in tau -> pole tail
 
     @classmethod
     def of(cls, ray):
@@ -284,14 +341,20 @@ class _RayQuadrature:
             ray.quadrature = cls(ray)
         return ray.quadrature
 
-    def parts(self, df_max):
-        """The gap and chords of span df_max, then the tail, in flow order."""
-        df_max = mpf(df_max)
-        if df_max not in self.spans:
-            end = _gap_end(self.ray, df_max)
-            self.spans[df_max] = (_SeedGap(self.ray, end),
-                                  _RayTable(self.ray, df_max, end))
-        return [p for p in (*self.spans[df_max], self.tail) if p is not None]
+    def parts(self, df_max, rho, width=None):
+        """The gap and chords of (df_max, rho), then on a simple-pole ray
+        the tail of panel width `width`, in flow order."""
+        key = (mpf(df_max), mpf(rho))
+        if key not in self.spans:
+            end = _gap_end(self.ray, key[0])
+            self.spans[key] = (_SeedGap(self.ray, end),
+                               _RayTable(self.ray, *key, end))
+        if width is None:
+            return list(self.spans[key])
+        width = mpf(width)
+        if width not in self.tails:
+            self.tails[width] = _PoleTail(self.ray, width)
+        return [*self.spans[key], self.tails[width]]
 
 
 def _exp_sum(terms, z, stop_decay):
@@ -329,19 +392,39 @@ def _quantized_df(z_abs, tol):
     The n-point Gauss-Legendre remainder for exp(-f/z) over a span L in
     f, relative to the integrand, is (L/|z|)^(2n) (n!)^4 / ((2n+1)
     ((2n)!)^3); for the 12 nodes of a chunk that is about 8.8e-39
-    (L/|z|)^24.  The span keeps it at most 1e-6 tol.  The margin is for
-    `stokes_factor`, whose fits amplify the quadrature error of the
-    entries: on the grid of acceptance criterion 3 (|z| = 0.3, tol
-    1e-14) a margin of 1e-3 gives span 2, which changes the entries by
-    about 1e-20 and the fitted coefficients by 5e-13, while span 1
-    leaves the fit unchanged.  Rounding down to a power of two lets the
-    z of a grid, and nearby stand-alone z, share one table.
+    (L/|z|)^24.  The span keeps it at most 1e-6 tol, the one remainder
+    budget of every part: the Bernstein ellipse of a chord
+    (`_bernstein_rho`) and the panels of a pole tail, whose width in tau
+    is this span at |z| = 1/rate for the rate at which the tail's terms
+    turn, are held to it too.  The margin is for `stokes_factor`, whose
+    fits amplify the quadrature error of the entries: on the grid of
+    acceptance criterion 3 (|z| = 0.3, tol 1e-14) a margin of 1e-3 gives
+    span 2, which changes the entries by about 1e-20 and the fitted
+    coefficients by 5e-13, while span 1 leaves the fit unchanged.
+    Rounding down to a power of two lets the z of a grid, and nearby
+    stand-alone z, share one table.
     """
-    n = _CHORD_NODES
-    remainder = (mpmath.factorial(n) ** 4
-                 / ((2 * n + 1) * mpmath.factorial(2 * n) ** 3))
-    raw = mpf(z_abs) * (mpf("1e-6") * mpf(tol) / remainder) ** (mpf(1) / (2 * n))
+    raw = mpf(z_abs) * (mpf("1e-6") * mpf(tol) / _REMAINDER) ** (
+        mpf(1) / (2 * _CHORD_NODES))
     return mpf(2) ** int(mpmath.floor(mpmath.log(raw, 2)))
+
+
+def _bernstein_rho(tol):
+    """Chord ellipse: the smallest power of two rho with rho^-24 <= 1e-6 tol.
+
+    The 12-point Gauss-Legendre remainder of an integrand analytic inside
+    the Bernstein ellipse of parameter rho, with a pole or log branch
+    point on it, is about rho^-24 times the integrand there, so a chord
+    whose ellipse holds no pole, and on which the exponential stays
+    resolved (`_RayTable._ellipse_resolved`), meets the budget of
+    `_quantized_df`.  Rounding up to a power of two, as the span rounds
+    down, leaves the remainder between 2^-24 and 1 times the budget and
+    lets nearby tolerances share one table.  Unrounded, rho = 6.8 at
+    acceptance criterion 3's tol 1e-14 moves its fitted |c1 + 1| from
+    1.6e-15 to 8.5e-15.
+    """
+    raw = (mpf("1e-6") * mpf(tol)) ** (-mpf(1) / (2 * _CHORD_NODES))
+    return mpf(2) ** int(mpmath.ceil(mpmath.log(raw, 2)))
 
 
 def _cutoffs(ray, z, tol):
@@ -362,12 +445,17 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     One sum over the ray's node sequence in flow order: the straight
     gap out of the zero and the chords from its end, both at span df_max
     (by default the largest span `_quantized_df` allows at this |z| and
-    tol), and on a ray into a simple pole the straightened tail.  Its
-    reach is set by the sum alone: nodes are laid, and an irregular tail
-    grown, up to where Re(f/z) passes the decay cut-off of `_cutoffs`,
-    past which no node counts.  A simple-pole tail must decay at a rate
-    above 0.05 per unit of its parameter; on an irregular tail the
-    analytic remainder bound at the first node past the cut-off must be
+    tol) and chord ellipse `_bernstein_rho(tol)`, and on a ray into a
+    simple pole the straightened tail.  The tail's terms turn in tau at
+    the exponential rate |res/z|, at omega's rate |n_om - 1|, and at
+    rate 1 through the terms of f and omega analytic at the pole, so its
+    panel width is the `_quantized_df` span at |z| = 1/(sum of the
+    three).  Its reach is set by the sum alone: nodes are laid, and an
+    irregular tail grown, up to where Re(f/z) passes the decay cut-off
+    of `_cutoffs` (on a simple-pole tail one panel further), past which
+    no node counts.  A simple-pole tail must decay at a rate above 0.05
+    per unit of its parameter; on an irregular tail the analytic
+    remainder bound at the first node past the cut-off must be
     below tol_abs.
     """
     z = to_mpc(z)
@@ -375,25 +463,33 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     if rate <= 0:
         raise TailNotDecaying(f"z={z} outside the half-plane of direction {ray.d}")
     term = ray.terminal
+    width = None
     if term.pole_order == 1:
         chart, center = _pole_chart(ray)
         # along the tail exp(-f/z) goes like exp(-tau decay) and omega like
         # exp((n_om - 1) tau), n_om its pole order in the pole's chart
         n_om, _ = derham._laurent_series(omega.in_chart(chart), center,
                                          order_hint=0)
-        decay = -mpmath.re(ray._poles[term.pole_index].residue / z)
+        res_z = ray._poles[term.pole_index].residue / z
+        decay = -mpmath.re(res_z)
         tail_rate = decay - n_om + 1
         if tail_rate <= mpf("0.05"):
             raise TailNotDecaying(f"simple-pole tail rate {tail_rate} at z={z} "
                                   f"(omega pole order {n_om})")
+        width = _quantized_df(1 / (abs(res_z) + abs(n_om - 1) + 1), tol)
     tol_abs, stop_decay = _cutoffs(ray, z, tol)
-    if term.pole_order == 1 and tail_rate < decay:
-        # the terms fall at tail_rate, slower than Re(f/z) grows (decay):
-        # move the cut-off out by that ratio
-        stop_decay *= decay / tail_rate
+    if term.pole_order == 1:
+        if tail_rate < decay:
+            # the terms fall at tail_rate, slower than Re(f/z) grows (decay):
+            # move the cut-off out by that ratio
+            stop_decay *= decay / tail_rate
+        # the sum stops inside the tail panel where the cut-off falls, whose
+        # partial Gauss sum errs by the integrand up to one panel, width *
+        # decay in Re(f/z), before the cut-off: read on by that much
+        stop_decay += width * decay
     if df_max is None:
         df_max = _quantized_df(abs(z), tol)
-    parts = _RayQuadrature.of(ray).parts(df_max)
+    parts = _RayQuadrature.of(ray).parts(df_max, _bernstein_rho(tol), width)
     total, past = _exp_sum(chain.from_iterable(p.terms(omega) for p in parts),
                            z, stop_decay)
     if term.pole_order == 1:
@@ -568,6 +664,14 @@ class StokesFactor:
         return [[e.evaluate(z) for e in row] for row in self.entries]
 
 
+def fit_dictionary(lat, basis_bound):
+    """Lattice vectors of the fit: 0 and those with norm up to basis_bound."""
+    gammas = [tuple([0] * lat.rank)]
+    if lat.rank:
+        gammas += list(lat.vectors_in_ball(basis_bound))
+    return gammas
+
+
 def _solve_least_squares(design, rhs):
     """Normal-equations solve at working precision (small systems)."""
     k = len(design[0])
@@ -594,7 +698,9 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
     exp(((c_j' - c_j) + mu(gamma))/z) with ||gamma|| up to the basis
     bound; the residual is the worst absolute mismatch over the grid.
     Grid points where A is singular or its 1-norm condition number
-    exceeds cond_cap are left out of the fit and listed in `dropped`.
+    exceeds cond_cap are left out of the fit and listed in `dropped`;
+    the fit needs at least as many kept points as the dictionary has
+    terms, and at least two.
     """
     grid = [to_mpc(z) for z in xi_a.z_grid]
     if len(grid) != len(xi_b.z_grid) or any(
@@ -621,12 +727,12 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
             continue
         s_samples.append((b * a_inv).T)
         kept.append(z)
-    if len(kept) < 2:
-        raise FitResidualTooLarge("not enough well-conditioned grid points")
     # dictionary: gamma in the ball, exponent offsets from critical values
-    gammas = [tuple([0] * lat.rank)]
-    if lat.rank:
-        gammas += list(lat.vectors_in_ball(basis_bound))
+    gammas = fit_dictionary(lat, basis_bound)
+    if len(kept) < max(2, len(gammas)):
+        raise FitResidualTooLarge(
+            f"{len(kept)} well-conditioned grid points for a fit dictionary "
+            f"of {len(gammas)} terms")
     c_vals = xi_a.critical_values
     entries = []
     worst = mpf(0)

@@ -253,6 +253,24 @@ class TestErrorContract:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "branch_paths" in err
 
+    def test_stokes_grid_smaller_than_the_dictionary_exit_1(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 4 grid points against the 5 terms of the Gamma lattice's fit
+        # dictionary at --basis-bound 2 (0, +-1, +-2): refused before any
+        # thimble is integrated, not a singular least-squares solve
+        def integrate(*args, **kwargs):
+            raise AssertionError("sectorial matrix computed")
+
+        monkeypatch.setattr(cli.stokes, "sector_matrix", integrate)
+        out = tmp_path / "factor.json"
+        assert run_cli(["stokes", gamma_spec(tmp_path), "--d1", "0",
+                        "--d2", "2.94159", "--grid", "0.3:0.42:4:1",
+                        "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "needs 5" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["thimble", "--direction", "0", "--zero", "3"],
         ["thimble", "--direction", "0", "--zero", "-1"],

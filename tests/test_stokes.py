@@ -74,6 +74,10 @@ def fresh_ray(form, crit, ell=0, d=0, controls=TraceControls()):
     return betti.ThimbleRay(form, crit, 0, ell, d, controls)
 
 
+def rho_at(tol="1e-12"):
+    return stokes._bernstein_rho(mpf(tol))
+
+
 def lay_traced(table):
     """Lay chords over the samples of the ray's first trace."""
     end = table.ray.n_traced - 1
@@ -88,7 +92,7 @@ class TestNodeTable:
         # the traced f, on the irregular and the simple-pole ray
         bound = mpf(2) ** (-mp.prec // 2)
         for ray in (gamma_thimble.forward, gamma_thimble.backward):
-            table = stokes._RayTable(ray, mpf(1) / 16)
+            table = stokes._RayTable(ray, mpf(1) / 16, rho_at())
             lay_traced(table)
             covered = ray.samples[:table.chords[-1][1] + 1]
             f_max = max(abs(f) for _, _, f in covered)
@@ -96,11 +100,16 @@ class TestNodeTable:
 
     def test_chords_span_several_samples(self, gamma_form, gamma_crit):
         # on a far ray, chords merge the short steps of the irregular tail
-        # but keep each chunk's two bounds: at most df_max of f, and inside
-        # the tracer's step cap at the chord's first sample
+        # but keep each chunk's bounds at every sample past the first
+        # interval: at most df_max of f, every pole of the chart outside
+        # the Bernstein ellipse of the chord so far, and inside the
+        # pole-free disk around the chord's first sample; the first
+        # interval, a tracer step, lies inside that disk too
         ray = fresh_ray(gamma_form, gamma_crit, 0, mp.pi - mpf("0.2"))
         df_max = mpf(1) / 4
-        table = stokes._RayTable(ray, df_max)
+        rho = rho_at()
+        axis = (rho + 1 / rho) / 2
+        table = stokes._RayTable(ray, df_max, rho)
         traced_end = lay_traced(table)
         # the samples the chords cover; the last chord may grow the ray
         samples = ray.samples[:table.chords[-1][1] + 1]
@@ -113,11 +122,16 @@ class TestNodeTable:
             x0, f0 = samples[start][1], samples[start][2]
             use_inf = abs(x0) > switch and abs(samples[start + 1][1]) > switch
             a_pt = 1 / x0 if use_inf else x0
-            cap = ray._step_cap(derham.INF if use_inf else "affine", a_pt)
-            for _, x, f in samples[start + 1:end + 1]:
-                assert abs((1 / x if use_inf else x) - a_pt) <= cap
-                if end > start + 1:
+            poles = stokes._chart_poles(ray, derham.INF if use_inf else "affine")
+            radius = min(abs(p - a_pt) for p in poles)
+            for k, (_, x, f) in enumerate(samples[start + 1:end + 1]):
+                b = 1 / x if use_inf else x
+                assert abs(b - a_pt) < radius
+                if k > 0:
                     assert abs(f - f0) <= df_max
+                    for p in poles:
+                        assert (abs(p - a_pt) + abs(p - b)
+                                > axis * abs(b - a_pt))
         chunks = len(table.nodes) // stokes._CHORD_NODES
         assert chunks < len(samples) - 1
         f_max = max(abs(f) for _, _, f in samples)
@@ -127,10 +141,12 @@ class TestNodeTable:
                                         gamma_thimble):
         ray = gamma_thimble.backward
         assert ray.terminal.pole_order == 1
-        tail = stokes._RayQuadrature.of(ray).tail
+        width = mpf(1) / 2
+        tail = stokes._RayQuadrature.of(ray).parts(1, rho_at(), width)[-1]
+        assert tail.width == width
         # the memoized ray may carry a deeper tail from earlier sums; its
         # nodes through tau = 4 are the same
-        last = 4 * stokes._TAIL_PANELS_PER_UNIT * stokes._TAIL_NODES - 1
+        last = int(4 / width) * stokes._CHORD_NODES - 1
         while len(tail.nodes) <= last:
             tail.lay()
         x_cap, f_cap = ray.terminal.capture_point, ray.terminal.f_capture
@@ -146,7 +162,8 @@ class TestNodeTable:
         # zero, then along the straight ray x_cap e^t, with f continued
         # by the closed form over each short segment.  omega = dx has a
         # double pole at infinity, so the tail's terms fall slower than
-        # exp(-f/z), and the sum must read on past the usual cut-off
+        # exp(-f/z), and the sum must read on past the usual cut-off.
+        # Checked from a loose to a tight tolerance
         form = derham.analyze([-1, 1], [0, -2, 1])
         crit = derham.critical_values(form, mpc(1, "0.5"), [[1]],
                                       lat=derham.period_lattice(form))
@@ -161,7 +178,6 @@ class TestNodeTable:
             ray = betti.trace_ray(form, crit, 0, ell, d)
             assert form.poles[ray.terminal.pole_index].location == derham.INF
             assert ray.terminal.pole_order == 1
-            val = stokes.ray_integral(ray, dx, z, mpf("1e-30"))
             points = [form.zeros[0].location]
             points += [x for _, x, _ in ray.samples[:ray.n_traced]]
             with mp.workdps(30):
@@ -178,7 +194,11 @@ class TestNodeTable:
                     x = x_cap * mpmath.exp(t)
                     return mpmath.exp(-(f_a + increment(x_cap, x)) / z) * x
                 oracle += mpmath.quad(tail, [0, mpmath.inf])
-            assert abs(val - oracle) < mpf("1e-27") * abs(oracle)
+            for tol, bound in ((mpf("1e-10"), mpf("1e-11")),
+                               (mpf("1e-14"), mpf("1e-15")),
+                               (mpf("1e-30"), mpf("1e-27"))):
+                val = stokes.ray_integral(ray, dx, z, tol)
+                assert abs(val - oracle) < bound * abs(oracle)
 
     def test_omega_evaluated_once_per_node(self, gamma_form, gamma_crit,
                                            gamma_omega, monkeypatch):
@@ -187,7 +207,7 @@ class TestNodeTable:
         ray = fresh_ray(gamma_form, gamma_crit,
                         controls=TraceControls(flow_reach=10))
         traced = len(ray.samples)
-        table = stokes._RayTable(ray, mpf(1) / 16)
+        table = stokes._RayTable(ray, mpf(1) / 16, rho_at())
         calls = []
         plain = RationalForm.__call__
         # the trace evaluates the 1-form as the sum grows the ray
@@ -214,14 +234,16 @@ class TestNodeTable:
     def test_one_sequence_per_ray(self, gamma_form, gamma_crit, gamma_omega,
                                   monkeypatch):
         # the d = 0 backward ray ends in the simple pole at 0: two z with
-        # different chord spans lay one seed gap each and share the pole
-        # tail, and omega is evaluated once per node laid over gaps,
-        # chords and tail
+        # different chord spans and one tail panel width (1 in tau: the
+        # rates 1/|z| + 1 of z = 0.2 and 0.35 fall in one power of two)
+        # lay one seed gap each and share the pole tail, and omega is
+        # evaluated once per node laid over gaps, chords and tail
         ray = fresh_ray(gamma_form, gamma_crit, 1)
         assert ray.terminal.pole_order == 1
-        tol, zs = mpf("1e-12"), (mpf("0.1"), mpf("0.45"))
+        tol, zs = mpf("1e-12"), (mpf("0.2"), mpf("0.35"))
         spans = [stokes._quantized_df(z, tol) for z in zs]
         assert len(set(spans)) == 2
+        rho, width = rho_at(), mpf(1)
         calls = []
         plain = RationalForm.__call__
         alpha = (gamma_form.form, gamma_form.form.at_infinity())
@@ -236,17 +258,19 @@ class TestNodeTable:
             stokes.ray_integral(ray, gamma_omega, z, tol)
         monkeypatch.setattr(RationalForm, "__call__", plain)
         quad = ray.quadrature
-        assert set(quad.spans) == set(spans)
-        parts = [quad.parts(span) for span in spans]
+        assert set(quad.spans) == {(span, rho) for span in spans}
+        assert list(quad.tails) == [width]
+        tail = quad.tails[width]
+        parts = [quad.parts(span, rho, width) for span in spans]
         gaps = [p[0] for p in parts]
         assert gaps[0] is not gaps[1]
-        assert parts[0][2] is parts[1][2] is quad.tail
-        assert quad.tail.nodes
+        assert parts[0][2] is parts[1][2] is tail
+        assert tail.nodes
         assert all(len(gap.nodes) == stokes._GAP_PANELS * stokes._GAP_NODES
                    for gap in gaps)
         laid = sum(len(part.nodes) for pair in quad.spans.values()
                    for part in pair)
-        assert len(calls) == laid + len(quad.tail.nodes)
+        assert len(calls) == laid + len(tail.nodes)
 
     def test_gap_stays_in_the_seed_disk_and_the_span(self, gamma_form,
                                                      gamma_crit, gamma_omega):
@@ -262,7 +286,7 @@ class TestNodeTable:
             for z in (mpf("0.02"), mpf("0.1"), mpf("0.45")):
                 span = stokes._quantized_df(z, tol)
                 stokes.ray_integral(ray, gamma_omega, z, tol)
-                gap, table = ray.quadrature.parts(span)[:2]
+                gap, table = ray.quadrature.parts(span, rho_at(tol))
                 assert gap.end > 0
                 for _, x, f in ray.samples[:gap.end + 1]:
                     assert abs(x - q) <= radius
@@ -284,7 +308,7 @@ class TestNodeTable:
         stokes.ray_integral(ray, gamma_omega, mpf("0.5"), tol)
         assert len(ray.samples) > traced
         assert [stokes._gap_end(ray, span) for span in spans] == before
-        assert ray.quadrature.parts(spans[1])[0].end == before[1]
+        assert ray.quadrature.parts(spans[1], rho_at(tol))[0].end == before[1]
 
     def test_gap_ended_by_the_f_bound(self):
         # 30 (x - 1)/x dx: f = 30 (x - log x) rises 30 times faster than on
@@ -305,7 +329,7 @@ class TestNodeTable:
         span = stokes._quantized_df(mpf("0.2"), tol)
         for ray in (path.forward, path.backward):
             radius = 2 * ray._step_cap("affine", q)
-            end = ray.quadrature.parts(span)[0].end
+            end = ray.quadrature.parts(span, rho_at(tol))[0].end
             _, x, f = ray.samples[end + 1]
             assert abs(x - q) <= radius
             assert abs(f - c) > span
@@ -353,9 +377,10 @@ class TestNodeTable:
         stokes.ray_integral(after, gamma_omega, mpf("0.45"), tol, span)
         value = stokes.ray_integral(alone, gamma_omega, z, tol, span)
         assert stokes.ray_integral(after, gamma_omega, z, tol, span) == value
-        laid = [ray.quadrature.parts(span)[1] for ray in (alone, after)]
+        laid = [ray.quadrature.parts(span, rho_at(tol))[1]
+                for ray in (alone, after)]
         assert len(laid[1].nodes) > len(laid[0].nodes)
-        gap, table = stokes._RayQuadrature.of(full).parts(span)
+        gap, table = stokes._RayQuadrature.of(full).parts(span, rho_at(tol))
         traced_end = lay_traced(table)
         assert len(table.nodes) > len(laid[1].nodes)
         assert traced_end + 1 == len(alone.samples) == len(after.samples)
@@ -370,7 +395,7 @@ class TestNodeTable:
         # and omega is evaluated once per laid node
         tol, z = mpf("1e-12"), mpf("0.1")
         ray = fresh_ray(gamma_form, gamma_crit)
-        table = stokes._RayTable(ray, stokes._quantized_df(z, tol))
+        table = stokes._RayTable(ray, stokes._quantized_df(z, tol), rho_at(tol))
         _, stop_decay = stokes._cutoffs(ray, z, tol)
         calls = []
         plain = RationalForm.__call__
@@ -422,6 +447,78 @@ class TestNodeTable:
             assert abs(val - ref) <= mpf("1e-8") * abs(ref)
         with pytest.raises(AssertionError):
             betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, 0, TraceControls())
+
+
+class TestRemainderBudget:
+    """Chords, their Bernstein ellipses and the pole-tail panels are sized
+    by one 12-point remainder budget, 1e-6 tol: the integrals meet tol
+    against closed forms from loose to tight tolerances."""
+
+    tols = (mpf("1e-10"), mpf("1e-14"), mpf("1e-30"))
+
+    def test_gamma_thimble_across_the_stokes_ray(self, gamma_form, gamma_crit,
+                                                 gamma_omega):
+        # d = 0 (the backward ray runs straight into the simple pole at
+        # 0) and d = pi/2 + 0.2 (the backward ray circles that pole),
+        # traced at rk_tol 1e-8 as perfbench's gamma-crossing does; past
+        # the Stokes ray pi/2 the thimble integral picks up the factor
+        # 1 - exp(-2 pi i/z)
+        controls = TraceControls(rk_tol=mpf("1e-8"))
+        cases = [(mpf(0), False,
+                  [mpf("0.15"), mpf("0.4") * mpmath.exp(1j * mpf("0.6"))]),
+                 (mp.pi / 2 + mpf("0.2"), True,
+                  [mpf("0.3") * mpmath.exp(1j * mpf("0.9")),
+                   mpf("0.5") * mpmath.exp(1j * mpf("1.3"))])]
+        for d, crossed, zs in cases:
+            path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, d, controls)
+            for z in zs:
+                ref = gamma_closed(z)
+                if crossed:
+                    ref *= 1 - mpmath.exp(-2j * mp.pi / z)
+                for tol in self.tols:
+                    val = stokes.exp_integral(path, gamma_omega, gamma_crit, z, tol)
+                    assert abs(val - ref) <= tol / 10 * abs(ref)
+
+    def test_bessel_thimble(self, gamma_omega):
+        # (x^2 - 1)/x^2 dx, f = x + 1/x: the d = 0 thimble through x = 1
+        # runs from the double pole at 0 to the one at infinity, and the
+        # integral of exp(-f/z) dx/x over it is 2 K_0(2/z)
+        form = derham.analyze([-1, 0, 1], [0, 0, 1])
+        crit = derham.critical_values(form, 1, [[1], [mpc(0, 1), -1]],
+                                      lat=derham.period_lattice(form), offset=2)
+        path = betti.trace_thimble(form, crit, 0, 0, 0)
+        for z in (mpf("0.2"), mpf("0.5"), mpf("0.4") * mpmath.exp(1j * mpf("0.5"))):
+            ref = 2 * mpmath.besselk(0, 2 / z)
+            for tol in self.tols:
+                val = stokes.exp_integral(path, gamma_omega, crit, z, tol)
+                assert abs(val - ref) <= tol / 10 * abs(ref)
+
+    def test_chord_bounds_count_guard(self, gamma_form, gamma_crit):
+        # the d = 0 thimble over its first trace at span 4 and tol 1e-6
+        # (rho = 4): without the ellipse the backward ray's chords would
+        # run into the pole at 0 (12 nodes, not 36), and without the
+        # pole-free disk the forward ray would lay 372 nodes, not 384
+        rho = rho_at("1e-6")
+        assert rho == 4
+        laid = []
+        for ell in (0, 1):
+            table = stokes._RayTable(fresh_ray(gamma_form, gamma_crit, ell), 4, rho)
+            lay_traced(table)
+            laid.append(len(table.nodes))
+        assert laid == [384, 36]
+
+    def test_tail_panels_from_the_budget(self, gamma_form, gamma_crit,
+                                         gamma_omega):
+        # the d = 0 backward tail at z = 0.3: rate |res/z| + |n_om - 1| + 1
+        # = 13/3 for omega = dx/x, so panels of 1 in tau at tol 1e-12
+        # (6.8/(13/3) = 1.6) and 1/4 at tol 1e-30 (1.22/(13/3) = 0.28)
+        ray = fresh_ray(gamma_form, gamma_crit, 1)
+        z = mpf("0.3")
+        for tol, width in ((mpf("1e-12"), 1), (mpf("1e-30"), mpf(1) / 4)):
+            stokes.ray_integral(ray, gamma_omega, z, tol)
+            assert width in ray.quadrature.tails
+        assert stokes._bernstein_rho(mpf("1e-12")) == 8
+        assert stokes._bernstein_rho(mpf("1e-30")) == 32
 
 
 class TestCallOrder:
@@ -612,6 +709,22 @@ class TestStokesFactor:
         fac = stokes.stokes_factor(xi, xi, lat)
         assert fac.overlap_grid == grid[:4]
         assert fac.dropped == grid[4:]
+
+    def test_fit_needs_a_point_per_dictionary_term(self, gamma_lattice):
+        # the Gamma lattice at basis bound 2 gives 5 terms: 4 kept points
+        # cannot determine them, 5 can
+        assert len(stokes.fit_dictionary(gamma_lattice, 2)) == 5
+        grid = [mpf(r) for r in ("0.3", "0.33", "0.36", "0.39", "0.42")]
+
+        def sampled(points):
+            return stokes.SectorialMatrix(0, points, [(0, 0)], [None],
+                                          {(0, 0): [mpc(1)] * len(points)},
+                                          {}, [mpc(0)])
+        with pytest.raises(FitResidualTooLarge):
+            stokes.stokes_factor(sampled(grid[:4]), sampled(grid[:4]),
+                                 gamma_lattice)
+        fac = stokes.stokes_factor(sampled(grid), sampled(grid), gamma_lattice)
+        assert fac.overlap_grid == grid
 
     def test_cocycle(self, gamma_form, gamma_crit, gamma_lattice):
         # S(d1,d2) S(d2,d3) = S(d1,d3) on a common grid: with d1, d2 on one
