@@ -134,15 +134,23 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
         gammas = [()]
     if dedup_tol is None:
         dedup_tol = mpf("1e-30") * max(radius, mpf(1))
+    # kept points by grid cell of side dedup_tol: a point within dedup_tol
+    # of w lies in w's cell or one of its eight neighbours
+    cells = {}
     for c in c_set:
         for cp in c_set:
             base = c - cp
             for gamma in gammas:
                 w = base + lat.period(gamma)
-                if abs(w) <= dedup_tol:
+                if not dedup_tol < abs(w) <= radius:
                     continue
-                if abs(w) <= radius and not any(abs(w - o) <= dedup_tol for o in out):
+                i = int(mpmath.floor(w.real / dedup_tol))
+                j = int(mpmath.floor(w.imag / dedup_tol))
+                near = (o for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                        for o in cells.get((i + di, j + dj), ()))
+                if not any(abs(w - o) <= dedup_tol for o in near):
                     out.append(w)
+                    cells.setdefault((i, j), []).append(w)
     out.sort(key=lambda w: (abs(w), mpmath.arg(w)))
     return out
 
@@ -165,12 +173,20 @@ def is_generic(d, c_set, lat, radius, angle_tol=mpf("1e-12")):
 def nongeneric_directions(c_set, lat, radius, angle_tol=mpf("1e-12")):
     """Sorted non-generic directions in [0, 2*pi), deduplicated."""
     out = []
+    # kept angles by bucket of width angle_tol; an angle within angle_tol of
+    # a, modulo 2 pi, lies in a neighbour of the bucket of a, a - 2 pi or
+    # a + 2 pi
+    buckets = {}
+    twopi = 2 * mp.pi
     for w in critical_differences(c_set, lat, radius):
         a = mpmath.arg(w)
         if a < 0:
-            a += 2 * mp.pi
-        if not any(abs(wrap_angle(a - b)) < angle_tol for b in out):
+            a += twopi
+        keys = [int(mpmath.floor((a + s) / angle_tol)) for s in (-twopi, 0, twopi)]
+        near = (b for k in keys for dk in (-1, 0, 1) for b in buckets.get(k + dk, ()))
+        if not any(abs(wrap_angle(a - b)) < angle_tol for b in near):
             out.append(a)
+            buckets.setdefault(keys[1], []).append(a)
     return sorted(out)
 
 

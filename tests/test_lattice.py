@@ -12,6 +12,7 @@ from stokeswb.lattice import (EQUAL, LESS, NOT_LESS, ExpSum, ExpTruncation,
                               exp_less_on_arc, expsum_norm, filtration_level,
                               frechet_seminorm, is_generic, moderate_bound,
                               neumann_solve, support_radius)
+from stokeswb.scalar import wrap_angle
 
 GAMMA_MU = mpc(0, -2) * mp.pi
 
@@ -71,6 +72,56 @@ class TestCriticalDifferences:
         assert out
         for w in out:
             assert any(abs(w + v) < mpf("1e-30") for v in out)
+
+
+def pairwise_differences(c_set, lat, radius):
+    """critical_differences deduplicated against every kept point in turn."""
+    bound = int(mpmath.ceil((radius + max(abs(c - cp) for c in c_set
+                                          for cp in c_set))
+                            / support_radius(lat).value)) + 1
+    gammas = [(0,) * lat.rank] + list(lat.vectors_in_ball(bound))
+    tol = mpf("1e-30") * max(mpf(radius), 1)
+    out = []
+    for c in c_set:
+        for cp in c_set:
+            for gamma in gammas:
+                w = c - cp + lat.period(gamma)
+                if tol < abs(w) <= radius and not any(abs(w - o) <= tol
+                                                      for o in out):
+                    out.append(w)
+    return sorted(out, key=lambda w: (abs(w), mpmath.arg(w)))
+
+
+class TestDeduplication:
+    # a lattice of small support radius puts thousands of differences in
+    # the default search disk of `analyze`; the kept points are looked up
+    # by cell, and must be the ones a pairwise scan keeps
+    SKEW = Lattice((mpc("0.28212334869654604", "1.5707963267948966"),
+                    mpc("-0.28212334869654604", "1.5707963267948966")))
+
+    def test_skew_lattice_matches_pairwise(self):
+        c_set = [mpc(0), mpc("0.5", "0.25")]
+        out = critical_differences(c_set, self.SKEW, 6)
+        assert len(out) > 100
+        assert out == pairwise_differences(c_set, self.SKEW, 6)
+
+    def test_points_closer_than_the_tolerance_kept_once(self):
+        # offsets of 4e-31 and 8e-31 around a cell edge at 1e-30 * 5
+        eps = mpf("4e-31")
+        c_set = [mpc(0), mpc(1, 0), mpc(1, eps), mpc(1 + 2 * eps, -eps)]
+        out = critical_differences(c_set, Lattice(()), 5)
+        assert out == pairwise_differences(c_set, Lattice(()), 5)
+        assert sum(abs(w - 1) < mpf("1e-20") for w in out) == 1
+
+    def test_directions_merge_across_zero(self):
+        # arg 1e-14 and 2 pi - 1e-14 lie 2e-14 apart modulo 2 pi
+        c_set = [mpc(0), mpc(1, "1e-14"), mpc(1, "-1e-14")]
+        out = lattice.nongeneric_directions(c_set, Lattice(()), 5)
+        near_zero = [a for a in out if min(a, 2 * mp.pi - a) < mpf("1e-12")]
+        assert len(near_zero) == 1
+        assert len(out) == 4
+        for b in (0, mp.pi / 2, mp.pi, 3 * mp.pi / 2):
+            assert sum(abs(wrap_angle(a - b)) < mpf("1e-12") for a in out) == 1
 
 
 class TestGenericity:
