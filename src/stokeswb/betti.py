@@ -3,11 +3,14 @@
 A thimble of direction d at a zero of order m is a flow line of
 Im(exp(-i d) f) = const leaving the zero along one of the m+1
 distinguished rays of the local coordinate, traced with an embedded
-Runge-Kutta pair (unit speed, projection step re-imposing the constant
-imaginary part) until it is captured by a pole.  Down to the seed next
-to the zero, x and f come from the closed-form primitive alone.
+Runge-Kutta pair in machine floats on the phase of the form until it is
+captured by a pole.  Each sample is placed at working precision with f
+the previous f plus one closed-form increment, so f is exact at every
+sample.  Down to the seed next to the zero, x and f come from the
+closed-form primitive alone.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -183,7 +186,7 @@ class TraceControls:
 
 _SEED_SCALE = mpf("1e-6")       # |f - c| at the seed / reference scale
 _CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
-_SADDLE_TOL = mpf("1e-7")       # approach tolerance at foreign zeros
+_SADDLE_TOL = 1e-7              # approach tolerance at foreign zeros
 _SPIRAL_TOL = mpf("1e-8")       # straight-vs-spiral test at simple poles
 _MAX_STEPS = 200000             # RK steps of a ray, growth included
 _SEED_NEWTON_STEPS = 40         # Newton steps placing the seed
@@ -200,20 +203,27 @@ class RayTerminal:
     in_boundary: Optional[bool] = None
 
 
-# Cash-Karp embedded Runge-Kutta pair (orders 4 and 5)
-_CK_A = [
-    (),
-    (mpf(1) / 5,),
-    (mpf(3) / 40, mpf(9) / 40),
-    (mpf(3) / 10, mpf(-9) / 10, mpf(6) / 5),
-    (mpf(-11) / 54, mpf(5) / 2, mpf(-70) / 27, mpf(35) / 27),
-    (mpf(1631) / 55296, mpf(175) / 512, mpf(575) / 13824,
-     mpf(44275) / 110592, mpf(253) / 4096),
-]
-_CK_B5 = (mpf(37) / 378, mpf(0), mpf(250) / 621, mpf(125) / 594,
-          mpf(0), mpf(512) / 1771)
-_CK_B4 = (mpf(2825) / 27648, mpf(0), mpf(18575) / 48384, mpf(13525) / 55296,
-          mpf(277) / 14336, mpf(1) / 4)
+# Cash-Karp pair (orders 4 and 5) in floats: stages, fifth-order weights,
+# fifth- minus fourth-order weights; Gauss-Legendre nodes on a step's chord
+_CK_A = ((), (1 / 5,), (3 / 40, 9 / 40), (3 / 10, -9 / 10, 6 / 5),
+         (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+         (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096))
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_ERR = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, (
+    2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)))
+_GAUSS = [(0.0, 128 / 225)] + [(sign * math.sqrt(5 + 2 * k * math.sqrt(10 / 7)) / 3,
+                                 (322 - 13 * k * math.sqrt(70)) / 900)
+                                for k in (-1, 1) for sign in (-1, 1)]
+
+
+def _cash_karp(velocity, h):
+    """One step of dx/ds = velocity(x) from 0: the fifth-order end and its
+    distance from the fourth-order one."""
+    k = []
+    for row in _CK_A:
+        k.append(velocity(h * sum((c * kk for c, kk in zip(row, k)), 0j)))
+    end = h * sum(b * kk for b, kk in zip(_CK_B5, k))
+    return end, h * abs(sum(e * kk for e, kk in zip(_CK_ERR, k)))
 
 
 class ThimbleRay:
@@ -223,9 +233,10 @@ class ThimbleRay:
     where the step was taken and x always the affine coordinate.  The
     running value f is the integral of the form from the zero, offset by
     the critical value, so Im(exp(-i d) f) is constant along the ray and
-    Re(exp(-i d) f) is strictly increasing.  f advances by increments of
-    the closed-form primitive (`derham.Primitive`, kept as `primitive`
-    for the node tables built on the ray), which also places the seed.
+    Re(exp(-i d) f) is strictly increasing.  f advances by one increment
+    of the closed-form primitive per sample (`derham.Primitive`, kept as
+    `primitive` for the node tables built on the ray), which also places
+    the seed, so f is exact at every sample; steps run in floats (`_step`).
 
     An irregular tail is one fixed sequence: `grow` appends the next
     sample with the step carried over, so the samples do not depend on
@@ -251,6 +262,7 @@ class ThimbleRay:
         self._form_inf = one_form.form.at_infinity()
         self.primitive = derham.Primitive(one_form)
         self._unit = mpmath.exp(1j * self.d)
+        self._phase = {}            # chart -> (K, log|C|) of `_step`
         self._setup_geometry()
         self._seed()
         self._run()
@@ -259,24 +271,37 @@ class ThimbleRay:
 
     def _setup_geometry(self):
         of = self.one_form
-        finite = of.finite_special_points()
-        self._finite_points = finite
+        finite = [(to_mpc(z.location), z.order) for z in of.zeros if z.location != INF]
+        finite += [(to_mpc(p.location), -p.order) for p in of.poles if p.location != INF]
+        at_inf = -2 - sum(n for _, n in finite)     # the order at infinity
         # |x| beyond which the 1/x chart is used
-        big = max([abs(p) for p in finite] + [mpf(1)])
-        self._switch_radius = 4 * big + 4
+        big = max([abs(p) for p, _ in finite] + [mpf(1)])
+        self._switch_radius = float(4 * big + 4)
+        # the frame R of the float steps in each chart: the seed's direction.
+        # Over it, the chart's zeros (n > 0) and poles (n < 0), where
+        # alpha = C prod (x - s)^n; all but v = 0 bound a step (`_step_cap`)
+        m = of.zeros[self.j].order
+        frame = mpmath.exp(1j * (2 * mp.pi * self.ell + self.d) / (m + 1))
+        self._frame = {"affine": frame, INF: mpmath.conj(frame)}
+        self._chart_points = {
+            "affine": [(p * mpmath.conj(frame), n) for p, n in finite],
+            INF: ([(frame / p, n) for p, n in finite if p != 0]
+                  + [(mpc(0), at_inf)] * (at_inf != 0))}
         self._poles = list(of.poles)
+
+        def spacing(point):
+            # to the nearest other finite special point (1/x chart at infinity)
+            if point == INF:
+                return min((abs(1 / p) for p, _ in finite if p != 0), default=mpf(1))
+            return min((abs(point - p) for p, _ in finite if p != point), default=mpf(1))
+
+        self._saddle_radius = [_SADDLE_TOL * float(spacing(z.location)) for z in of.zeros]
         self._capture_radius = {}
         for idx, p in enumerate(of.poles):
+            radius = _CAPTURE_FACTOR * spacing(p.location)
             if p.location == INF:
-                others = [abs(1 / q) for q in finite if abs(q) > 0]
-                base = min(others) if others else mpf(1)
-                self._capture_radius[idx] = min(_CAPTURE_FACTOR * base,
-                                                1 / (2 * self._switch_radius))
-            else:
-                others = [abs(p.location - q) for q in finite
-                          if abs(p.location - q) > 0]
-                base = min(others) if others else mpf(1)
-                self._capture_radius[idx] = _CAPTURE_FACTOR * base
+                radius = min(radius, 1 / (2 * self._switch_radius))
+            self._capture_radius[idx] = float(radius)
 
     def _form_value(self, chart, val):
         return (self._form_inf if chart == INF else self._form_aff)(val)
@@ -302,8 +327,8 @@ class ThimbleRay:
         # the primitive's increments from q hold within the step cap
         cap = self._step_cap("affine", q)
         u_mag = min(u_mag, cap * abs(root))
-        phi = (2 * mp.pi * self.ell + self.d) / (m + 1)
-        self.u_seed = u_mag * mpmath.exp(1j * phi)
+        self.u_seed = u_mag * self._frame["affine"]
+        self._seed_zone = 10 * u_mag   # no saddle check at the own zero
         step = u_mag ** (m + 1) * self._unit / (m + 1)
         # quadratic: a step below half the digits leaves x at full precision
         tol, x = mpf(2) ** (-mp.prec // 2), q + self.u_seed / root
@@ -317,6 +342,7 @@ class ThimbleRay:
         f = self.crit.values[self.j] + step
         self.psi0 = mpmath.im(mpmath.exp(-1j * self.d) * f)
         self._state = (x, f, "affine", mpf(0))
+        self._rational = self.primitive.rational(x)
         self.samples.append((mpf(0), x, f))
 
     def _reference_scale(self):
@@ -328,48 +354,63 @@ class ThimbleRay:
             return abs(diffs[0])
         return mpf(1)
 
-    # -- flow field: unit-speed velocity in the working chart --
-
-    def _velocity(self, chart, val):
-        a = self._form_value(chart, val)
-        v = self._unit / a
-        return v / abs(v)
-
-    def _project(self, chart, x, f, x_new):
-        """Put an accepted step back on the flow line; f exact at the result.
-
-        One Newton step along i e^{id}/a restores Im(e^{-id} f) = psi0 to
-        second order in the step error, and f is the closed-form primitive
-        at the projected point, so every sample carries f to working
-        precision.
-        """
-        x_aff = self._affine(chart, x)
-        f_new = f + self.primitive.increment(x_aff, self._affine(chart, x_new))
-        drift = mpmath.im(mpmath.conj(self._unit) * f_new) - self.psi0
-        x_new = x_new - drift * 1j * self._unit / self._form_value(chart, x_new)
-        return x_new, f + self.primitive.increment(x_aff, self._affine(chart, x_new))
-
     # -- main loop --
 
     def _step(self, h, err_floor, h_floor):
-        """Append one accepted RK step from the current state; the next h.
+        """Append one accepted Cash-Karp step from the current state; the next h.
 
         h halves until the error is at most tol = rk_tol * max(|x|, err_floor)
         or h <= h_floor; the next h doubles when the error was below tol / 32.
+        The step runs in floats on the offset delta from x in the frame R of
+        the seed's direction (rotated rays stay exact rotations).  With
+        alpha = C prod (x - s)^n over the chart's zeros and poles, e^{id}/alpha/R
+        has the phase K prod (conj(w)/|w|)^n, w = (x - s)/R + delta: no
+        overflow, and relative accuracy next to a close zero or pole.  The
+        end goes back onto the flow line along i e^{id}/alpha by the exact
+        drift of f at x plus the Gauss sum of Im(e^{-id} alpha) on the chord.
         """
         x, f, chart, s = self._state
+        frame, points = self._frame[chart], self._chart_points[chart]
+        y = x * mpmath.conj(frame)
+        if chart not in self._phase:
+            c = self._form_value(chart, x) / mpmath.fprod((y - p) ** n for p, n in points)
+            self._phase[chart] = (complex(self._unit * mpmath.conj(c * frame) / abs(c)),
+                                  float(mpmath.log(abs(c))))
+        phase, log_c = self._phase[chart]
+        factors = [(complex(y - p), n) for p, n in points]
+
+        def field(delta):
+            """The velocity and log|alpha| at offset delta."""
+            v, log_alpha = phase, log_c
+            for w0, n in factors:
+                w = w0 + delta
+                v *= (w.conjugate() / abs(w)) ** n
+                log_alpha += n * math.log(abs(w))
+            return v / abs(v), log_alpha
+
+        tol = float(self.controls.rk_tol) * max(abs(complex(y)), err_floor)
         while True:
             self._steps += 1
             if self._steps > _MAX_STEPS:
                 raise NoCapture("step budget exhausted")
-            x_new, err = self._ck_step(chart, x, h)
-            tol = mpf(self.controls.rk_tol) * max(abs(x), err_floor)
+            end, err = _cash_karp(lambda delta: field(delta)[0], h)
             if err <= tol or h <= h_floor:
                 break
-            h *= mpf("0.5")
-        x, f = self._project(chart, x, f, x_new)
+            h *= 0.5
+        v_end, log_end = field(end)
+        half = end / 2
+        lift = (half * sum(w * v.conjugate() * math.exp(log_alpha - log_end)
+                           for t, w in _GAUSS
+                           for v, log_alpha in (field(half + half * t),))).imag
+        drift = float(self._unit.real * f.imag - self._unit.imag * f.real - self.psi0)
+        lift += drift * math.exp(-log_end)
+        x = x + frame * mpc(end - 1j * lift * v_end)
+        x_aff = self._affine(chart, x)
+        prim, r_prev = self.primitive, self._rational
+        self._rational = prim.rational(x_aff)     # at the last sample
+        f = f + (self._rational - r_prev + prim.log_increment(self.samples[-1][1], x_aff))
         s += h
-        self.samples.append((s, self._affine(chart, x), f))
+        self.samples.append((s, x_aff, f))
         self._state = (x, f, chart, s)
         return 2 * h if err < tol / 32 else h
 
@@ -380,30 +421,29 @@ class ThimbleRay:
         while True:
             if self._state[3] > ctl.max_arc_length:
                 raise NoCapture("arc length budget exhausted")
-            h = self._step(h, mpf(1), mpf("1e-30"))
+            h = self._step(h, 1.0, 1e-30)
             x, f, chart, s = self._state
             x_aff = self.samples[-1][1]
             # chart management
-            if chart != INF and abs(x) > self._switch_radius:
+            if chart != INF and abs(complex(x)) > self._switch_radius:
                 chart = INF
                 x = 1 / x
-            elif chart == INF and abs(x) > 1 / self._switch_radius:
+            elif chart == INF and abs(complex(x)) > 1 / self._switch_radius:
                 chart = "affine"
                 x = 1 / x
             self._state = (x, f, chart, s)
             # saddle check at foreign zeros (own zero excluded near the seed)
             for jz, zero in enumerate(self.one_form.zeros):
                 if zero.location == INF:
-                    if chart == INF and abs(x) < _SADDLE_TOL:
+                    if chart == INF and abs(complex(x)) < self._saddle_radius[jz]:
                         raise SaddleEncounter(f"approached zero {jz} at infinity")
                     continue
-                if jz == self.j and s < 10 * abs(self.u_seed):
+                if jz == self.j and s < self._seed_zone:
                     continue
-                ref = max(abs(zero.location), mpf(1))
-                if abs(x_aff - zero.location) < _SADDLE_TOL * ref:
+                if abs(complex(x_aff - zero.location)) < self._saddle_radius[jz]:
                     raise SaddleEncounter(f"approached zero {jz}")
             # capture checks
-            hit = self._check_capture(chart, x, f, s)
+            hit = self._check_capture(chart, x, x_aff, f)
             if hit is not None:
                 self.terminal = hit
                 if hit.pole_order >= 2:
@@ -416,48 +456,29 @@ class ThimbleRay:
             h = min(h, self._step_cap(chart, x))
 
     def _step_cap(self, chart, x):
-        x_aff = self._affine(chart, x)
-        dists = []
-        for q in self._finite_points:
-            if chart == INF:
-                if abs(q) > 0:
-                    dists.append(abs(x - 1 / q))
-            else:
-                d_ = abs(x_aff - q)
-                if d_ > 0:
-                    dists.append(d_)
+        """A fifth of the distance from x to the nearest finite special point
+        of the chart, and in the 1/x chart to v = 0 plus 1e-3."""
+        y = x * mpmath.conj(self._frame[chart])
+        dists = [abs(complex(y - p)) for p, _ in self._chart_points[chart]
+                 if chart != INF or p != 0]
         if chart == INF:
-            dists.append(abs(x) + mpf("1e-3"))
+            dists.append(abs(complex(y)) + 1e-3)
+        dists = [dist for dist in dists if dist > 0]
         if not dists:
-            return mpf(1)
-        return max(min(dists) / 5, mpf("1e-25"))
+            return 1.0
+        return max(min(dists) / 5, 1e-25)
 
-    def _ck_step(self, chart, x, h):
-        k = []
-        for stage in range(6):
-            xs = x
-            for coef, kk in zip(_CK_A[stage], k):
-                xs = xs + h * coef * kk
-            k.append(self._velocity(chart, xs))
-        x5 = x
-        x4 = x
-        for b5, b4, kk in zip(_CK_B5, _CK_B4, k):
-            x5 = x5 + h * b5 * kk
-            x4 = x4 + h * b4 * kk
-        return x5, abs(x5 - x4)
-
-    def _check_capture(self, chart, x, f, s):
+    def _check_capture(self, chart, x, x_aff, f):
         for idx, pole in enumerate(self._poles):
             radius = self._capture_radius[idx]
             if pole.location == INF:
-                if chart != INF or abs(x) > radius:
+                if chart != INF or abs(complex(x)) > radius:
                     continue
                 x_tilde = x
             else:
-                x_aff = self._affine(chart, x)
-                if abs(x_aff - pole.location) > radius:
-                    continue
                 x_tilde = x_aff - pole.location
+                if abs(complex(x_tilde)) > radius:
+                    continue
             if pole.order == 1:
                 # inbound iff the residue decays the exponential along d
                 inbound = mpmath.re(mpmath.exp(-1j * self.d) * pole.residue) < 0
@@ -466,10 +487,9 @@ class ThimbleRay:
                 ratio = self._unit / pole.residue
                 spiral = abs(mpmath.im(ratio)) > _SPIRAL_TOL * abs(ratio)
                 return RayTerminal(idx, 1, "spiral" if spiral else "straight",
-                                   mpmath.arg(x_tilde), self._affine(chart, x), f,
-                                   in_boundary=True)
+                                   mpmath.arg(x_tilde), x_aff, f, in_boundary=True)
             return RayTerminal(idx, pole.order, "irregular",
-                               mpmath.arg(x_tilde), self._affine(chart, x), f)
+                               mpmath.arg(x_tilde), x_aff, f)
         return None
 
     # -- post-capture handling --
@@ -481,7 +501,7 @@ class ThimbleRay:
         """Append the next sample of an irregular tail; False on other rays."""
         if self.terminal is None or self.terminal.pole_order < 2:
             return False
-        h = self._step(self._h, mpf("1e-6"), mpf("1e-40"))
+        h = self._step(self._h, 1e-6, 1e-40)
         x, _, chart, _ = self._state
         self._h = min(h, self._inner_step(chart, x))
         return True
@@ -492,13 +512,13 @@ class ThimbleRay:
             dist = abs(x)
         else:
             dist = abs(self._affine(chart, x) - pole.location)
-        return max(dist / 6, mpf("1e-30"))
+        return max(float(dist) / 6, 1e-30)
 
     def _finish_irregular(self):
         """Model-chart boundary angle, refined through the primitive."""
         term = self.terminal
         pole = self._poles[term.pole_index]
-        x, f, chart, s = self._state
+        x, _, chart, _ = self._state
         if pole.location == INF:
             x_tilde = x if chart == INF else 1 / x
             form_loc = self._form_inf

@@ -113,13 +113,14 @@ def _spec_field(data, key, parse, default=None):
     return parse(value)
 
 
-def _parse_grid(spec):
-    """r_min:r_max:n_radial:n_angular[:half_opening] around the direction."""
+def _parse_grid(spec, opening=True):
+    """r_min:r_max:n_radial:n_angular, then :half_opening around the
+    direction if `opening`."""
     # argparse hands over the option value "--" as an empty list
     parts = spec.split(":") if isinstance(spec, str) else []
-    if len(parts) not in (4, 5):
-        raise MalformedInput(
-            f"grid spec {spec!r} must be r_min:r_max:n_radial:n_angular[:opening]")
+    if len(parts) not in ((4, 5) if opening else (4,)):
+        shape = "r_min:r_max:n_radial:n_angular" + ("[:opening]" if opening else "")
+        raise MalformedInput(f"grid spec {spec!r} must be {shape}")
     r_min, r_max = _real(parts[0], "grid r_min"), _real(parts[1], "grid r_max")
     try:
         n_r, n_a = int(parts[2]), int(parts[3])
@@ -275,7 +276,7 @@ def cmd_stokes(args):
         return _fail(EXIT_USAGE, "directions do not share a half-plane overlap")
     mid = (lo + hi) / 2
     width = (hi - lo) / 2
-    r_min, r_max, n_r, n_a, _ = _parse_grid(args.grid)
+    r_min, r_max, n_r, n_a, _ = _parse_grid(args.grid, opening=False)
     terms = len(stokes.fit_dictionary(lat, args.basis_bound))
     if n_r * n_a < terms:
         raise MalformedInput(f"--grid {args.grid} has {n_r * n_a} points; the fit "
@@ -476,7 +477,9 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
-    p.add_argument("--grid", default="0.3:0.42:4:2")
+    p.add_argument("--grid", default="0.3:0.42:4:2",
+                   help="r_min:r_max:n_radial:n_angular, angles in the overlap "
+                        "of the two directions' half-planes")
     p.add_argument("--tolerance", default="1e-16")
     p.add_argument("--basis-bound", type=int, default=2)
     p.add_argument("--out")

@@ -393,7 +393,8 @@ def analyze(p_coeffs, q_coeffs):
     Cancels common roots, includes the point at infinity via x = 1/v,
     and checks the degree identity (zeros minus poles is -2 on genus 0).
     Raises NotOneForm when P or Q is zero, or the form has no zeros or
-    no poles.
+    no poles, and RootFindingFailed when the orders found break the
+    degree identity.
     """
     p = poly_trim(p_coeffs)
     q = poly_trim(q_coeffs)
@@ -450,9 +451,12 @@ def analyze(p_coeffs, q_coeffs):
     # the point at infinity, via the chart v = 1/x
     inf_form = form.at_infinity()
     n_inf, series_inf = _laurent_series(inf_form, mpc(0))
-    scale_inf = max([abs(c) for c in series_inf] + [mpf(1)])
-    first = next((k for k, c in enumerate(series_inf)
-                  if abs(c) > mpf("1e-30") * scale_inf), None)
+    # coefficient k grows like R^k, R the largest |finite root|: weighed by
+    # R^-k, the coefficients are compared at one size
+    shrink = 1 / max([abs(r) for r, _ in keep_p + keep_q] + [mpf(1)])
+    sizes = [abs(c) * shrink ** k for k, c in enumerate(series_inf)]
+    first = next((k for k, size in enumerate(sizes)
+                  if size > mpf("1e-30") * max(sizes)), None)
     if first is not None:
         val = first - n_inf
         if val < 0:
@@ -467,7 +471,8 @@ def analyze(p_coeffs, q_coeffs):
     one_form = OneForm(form, tuple(zeros), tuple(poles))
     total = one_form.zero_order_sum() - one_form.pole_order_sum()
     if total != -2:
-        raise AssertionError(f"degree identity violated: {total} != -2")
+        raise RootFindingFailed(f"degree identity violated: zero orders minus "
+                                f"pole orders is {total}, not -2")
     return one_form
 
 

@@ -17,6 +17,10 @@ from .errors import DegenerateLattice, NotDecaying, NotLowering
 from .scalar import cplx_to_pair, pair_to_cplx, to_mpc, wrap_angle
 
 _ZERO_TOL = mpf("1e-40")
+# relative margin of the float screens ahead of the exact tests of a
+# norm or a modulus against its bound: only what passes the screen is
+# tested at working precision
+_SCREEN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,15 @@ class Lattice:
         """All gamma in Z^r with 0 < ||gamma|| <= bound (weighted l1)."""
         if self.rank == 0:
             return
-        ranges = [range(-int(mpf(bound) / w), int(mpf(bound) / w) + 1)
-                  for w in self.weights]
+        bound = mpf(bound)
+        ranges = [range(-int(bound / w), int(bound / w) + 1) for w in self.weights]
+        weights = [float(w) for w in self.weights]
+        inside, outside = float(bound) * (1 - _SCREEN), float(bound) * (1 + _SCREEN)
         for gamma in itertools.product(*ranges):
-            if all(g == 0 for g in gamma):
+            if not any(gamma):
                 continue
-            if self.norm(gamma) <= bound:
+            size = sum(w * abs(g) for w, g in zip(weights, gamma))
+            if size <= inside or (size <= outside and self.norm(gamma) <= bound):
                 yield gamma
 
     def to_json(self):
@@ -130,8 +137,14 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
         if enum_bound is None:
             enum_bound = int(mpmath.ceil((radius + max_diff) / rep.value)) + 1
         gammas = [tuple([0] * lat.rank)] + list(lat.vectors_in_ball(enum_bound))
+        reach = enum_bound * max(abs(m) for m in lat.mu) / min(lat.weights)
     else:
-        gammas = [()]
+        gammas, reach = [()], mpf(0)
+    # |w| in floats is within `slack` of the exact |w| over the whole ball
+    mu = [complex(m) for m in lat.mu]
+    periods = [sum((g * m for g, m in zip(gamma, mu)), 0j) for gamma in gammas]
+    slack = _SCREEN * float(radius + max_diff + reach)
+    outside = float(radius) + slack
     if dedup_tol is None:
         dedup_tol = mpf("1e-30") * max(radius, mpf(1))
     # kept points by grid cell of side dedup_tol: a point within dedup_tol
@@ -140,7 +153,10 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
     for c in c_set:
         for cp in c_set:
             base = c - cp
-            for gamma in gammas:
+            base_f = complex(base)
+            for gamma, period in zip(gammas, periods):
+                if abs(base_f + period) > outside:
+                    continue
                 w = base + lat.period(gamma)
                 if not dedup_tol < abs(w) <= radius:
                     continue

@@ -153,6 +153,50 @@ class TestTracing:
         assert path.forward.monotone_flow()
         assert path.backward.monotone_flow()
 
+    def test_flow_invariant_at_a_coarse_tolerance(self, gamma_form, gamma_crit):
+        # a step's end is put back on the flow line in floats, so the drift
+        # does not follow the step error of rk_tol 1e-8
+        path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, mpf(2),
+                                   TraceControls(rk_tol=mpf("1e-8")))
+        scale = max(abs(f) for _, _, f in path.samples())
+        assert path.im_deviation() <= mpf("1e-9") * scale
+        assert path.forward.monotone_flow()
+        assert path.backward.monotone_flow()
+
+    @pytest.mark.parametrize("d", [mpf(0), mp.pi / 2 + mpf("0.2")])
+    def test_f_advances_by_one_increment_per_sample(self, gamma_form, gamma_crit, d):
+        # through the switch to the 1/x chart and a grown irregular tail
+        for ell in (0, 1):
+            ray = betti.ThimbleRay(gamma_form, gamma_crit, 0, ell, d,
+                                   TraceControls(rk_tol=mpf("1e-8")))
+            if ray.terminal.pole_order >= 2:
+                for _ in range(20):
+                    assert ray.grow()
+                assert any(abs(x) > ray._switch_radius for _, x, _ in ray.samples)
+            for (_, a, f_a), (_, b, f_b) in zip(ray.samples, ray.samples[1:]):
+                step = ray.primitive.increment(a, b)
+                assert abs(f_b - f_a - step) <= mpf(2) ** (8 - mp.prec) * abs(f_b)
+
+    def test_form_evaluations_do_not_grow_with_the_samples(self, gamma_form,
+                                                           gamma_crit, monkeypatch):
+        # the seed's Newton steps and one evaluation per chart fixing the
+        # phase of the form; the steps themselves run on the phase in floats
+        calls = []
+        call = derham.RationalForm.__call__
+        monkeypatch.setattr(derham.RationalForm, "__call__",
+                            lambda form, x: calls.append(x) or call(form, x))
+        counts = []
+        for rk_tol in ("1e-8", "1e-14"):
+            calls.clear()
+            ray = betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, mp.pi / 2 + mpf("0.2"),
+                                   TraceControls(rk_tol=mpf(rk_tol)))
+            for _ in range(20):
+                ray.grow()
+            counts.append((len(calls), len(ray.samples)))
+        (coarse, few), (fine, many) = counts
+        assert many > 5 * few
+        assert coarse == fine <= betti._SEED_NEWTON_STEPS + 2
+
     def test_spiral_regime(self):
         # residue with an imaginary part spirals into the simple pole
         lam = mpc(1, "0.4")

@@ -47,6 +47,22 @@ class TestAnalyze:
         assert abs(nongen[1] - 3 * mp.pi / 2) < mpf("1e-12")
         assert abs(mpf(report["support_radius"]) - 2 * mp.pi) < mpf("1e-12")
 
+    def test_gamma_form_far_from_the_origin(self, tmp_path, capsys):
+        # moved by 1e6: the order at infinity is read at the roots' scale;
+        # the default basepoint 1 reaches the zero only through the pole
+        spec = {"P": ["-1000001", 1], "Q": ["-1000000", 1]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(["analyze", path, "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "branch_paths" in err
+        path.write_text(json.dumps({**spec, "basepoint": ["1000002", "0"]}))
+        out = tmp_path / "report.json"
+        assert run_cli(["analyze", path, "--out", out]) == 0
+        poles = json.loads(out.read_text())["form"]["poles"]
+        assert [(p["location"], p["order"]) for p in poles][1:] == [("infinity", 2)]
+
     def test_rank_zero_all_generic(self, tmp_path):
         spec = tmp_path / "xdx.json"
         spec.write_text(json.dumps({"P": [["0", "0"], ["1", "0"]],
@@ -270,6 +286,20 @@ class TestErrorContract:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "needs 5" in err
         assert not out.exists()
+
+    def test_stokes_grid_with_an_opening_exit_1(self, tmp_path, capsys, monkeypatch):
+        # stokes places its angles in the overlap itself: a fifth field
+        # is refused, not dropped
+        def integrate(*args, **kwargs):
+            raise AssertionError("sectorial matrix computed")
+
+        monkeypatch.setattr(cli.stokes, "sector_matrix", integrate)
+        assert run_cli(["stokes", gamma_spec(tmp_path), "--d1", "0",
+                        "--d2", "2.94159", "--grid", "0.3:0.42:4:2:0.5",
+                        "--out", tmp_path / "factor.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert err.rstrip().endswith("must be r_min:r_max:n_radial:n_angular")
 
     @pytest.mark.parametrize("argv", [
         ["thimble", "--direction", "0", "--zero", "3"],

@@ -49,6 +49,15 @@ class TestAnalyze:
         assert any(z.location == INF and z.order == 1 for z in form.zeros)
         assert any(p.location != INF and p.order == 3 for p in form.poles)
 
+    def test_order_at_infinity_far_from_the_origin(self):
+        # the Gamma form moved by 1e6: the Laurent coefficients at infinity
+        # grow like 1e6^k, and the leading one is still found
+        form = derham.analyze(["-1000001", 1], ["-1000000", 1])
+        (zero,), (pole, far) = form.zeros, form.poles
+        assert abs(zero.location - 1000001) < mpf("1e-40") and zero.order == 1
+        assert abs(pole.location - 1000000) < mpf("1e-40") and pole.order == 1
+        assert far.location == INF and far.order == 2
+
     def test_rank_identity_random(self, rng):
         done = 0
         while done < 30:

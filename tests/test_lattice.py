@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 import mpmath
@@ -104,6 +105,21 @@ class TestDeduplication:
         out = critical_differences(c_set, self.SKEW, 6)
         assert len(out) > 100
         assert out == pairwise_differences(c_set, self.SKEW, 6)
+
+    def test_float_screen_keeps_the_exact_enumeration(self, monkeypatch):
+        # mu(3, 0) lies on the search circle, and 0.7 + 1.3 on the ball's
+        # boundary; an infinite margin sends every candidate to the exact test
+        c_set = [mpc(0), mpc("0.5", "0.25")]
+        radius = abs(self.SKEW.period((3, 0)))
+        weighted = Lattice(self.SKEW.mu, (mpf("0.7"), mpf("1.3")))
+        screened = [critical_differences(c_set, lat, radius) for lat in (self.SKEW, weighted)]
+        balls = [list(lat.vectors_in_ball(2)) for lat in (self.SKEW, weighted)]
+        assert any(abs(w) == radius for w in screened[0])
+        assert (1, 1) in balls[1]
+        monkeypatch.setattr(lattice, "_SCREEN", math.inf)
+        assert [critical_differences(c_set, lat, radius)
+                for lat in (self.SKEW, weighted)] == screened
+        assert [list(lat.vectors_in_ball(2)) for lat in (self.SKEW, weighted)] == balls
 
     def test_points_closer_than_the_tolerance_kept_once(self):
         # offsets of 4e-31 and 8e-31 around a cell edge at 1e-30 * 5

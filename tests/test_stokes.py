@@ -334,6 +334,22 @@ class TestNodeTable:
             assert abs(x - q) <= radius
             assert abs(f - c) > span
 
+    def test_gamma_form_far_from_the_origin(self):
+        # (x - 1e6 - 1)/(x - 1e6) dx: the Gamma form moved by 1e6, traced in
+        # floats on offsets from points near 1e6; the forward ray runs out to
+        # the 1/x chart beyond 4e6, past the default arc-length budget
+        shift = mpf(10) ** 6
+        form = derham.analyze([-shift - 1, 1], [-shift, 1])
+        q = shift + 1
+        crit = derham.critical_values(form, q, [[q]],
+                                      lat=derham.period_lattice(form), offset=1)
+        path = betti.trace_thimble(form, crit, 0, 0, 0,
+                                   TraceControls(max_arc_length=mpf(10) ** 8))
+        omega = RationalForm((mpc(1),), (-shift, mpc(1)))
+        z = mpf("0.3")
+        val = stokes.exp_integral(path, omega, crit, z, mpf("1e-14"))
+        assert abs(val - gamma_closed(z)) <= mpf("1e-20") * abs(gamma_closed(z))
+
     def test_cold_thimble_omega_count(self, gamma_form, gamma_crit,
                                       gamma_omega, monkeypatch):
         # one z on a cold d = 0 Gamma thimble: the gap out to the edge of
