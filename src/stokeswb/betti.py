@@ -2,12 +2,13 @@
 
 A thimble of direction d at a zero of order m is a flow line of
 Im(exp(-i d) f) = const leaving the zero along one of the m+1
-distinguished rays of the local coordinate, traced with an embedded
-Runge-Kutta pair in machine floats on the phase of the form until it is
-captured by a pole.  Each sample is placed at working precision with f
-the previous f plus one closed-form increment, so f is exact at every
-sample.  Down to the seed next to the zero, x and f come from the
-closed-form primitive alone.
+distinguished rays of the local coordinate, traced in the flow parameter
+t = Re(exp(-i d)(f - c)) until it is captured by a pole: each sample is
+a step along the flow put back on the flow line by Newton in machine
+floats (numerical steepest descent, Huybrechs-Vandewalle 2006).  It is
+placed at working precision with f the previous f plus one closed-form
+increment, so f is exact at every sample.  Down to the seed next to the
+zero, x and f come from the closed-form primitive alone.
 """
 
 import math
@@ -177,7 +178,7 @@ def in_boundary_set(pole, arc, theta_k):
 
 @dataclass(frozen=True)
 class TraceControls:
-    rk_tol: object = mpf("1e-14")          # local error target per step
+    rk_tol: object = mpf("1e-14")          # stops a sample's Newton corrector
     max_arc_length: object = mpf("1e5")    # arc length of the first trace
     # Re(e^{-id}(f-c)) where the first trace of an irregular tail ends;
     # sums grow the tail on demand, so no integral depends on it
@@ -188,8 +189,9 @@ _SEED_SCALE = mpf("1e-6")       # |f - c| at the seed / reference scale
 _CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
 _SADDLE_TOL = 1e-7              # approach tolerance at foreign zeros
 _SPIRAL_TOL = mpf("1e-8")       # straight-vs-spiral test at simple poles
-_MAX_STEPS = 200000             # RK steps of a ray, growth included
+_MAX_STEPS = 200000             # steps tried on a ray, growth included
 _SEED_NEWTON_STEPS = 40         # Newton steps placing the seed
+_CORRECTOR_STEPS = 8            # Newton steps placing a sample at step h
 
 
 @dataclass(frozen=True)
@@ -203,27 +205,12 @@ class RayTerminal:
     in_boundary: Optional[bool] = None
 
 
-# Cash-Karp pair (orders 4 and 5) in floats: stages, fifth-order weights,
-# fifth- minus fourth-order weights; Gauss-Legendre nodes on a step's chord
-_CK_A = ((), (1 / 5,), (3 / 40, 9 / 40), (3 / 10, -9 / 10, 6 / 5),
-         (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-         (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096))
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_ERR = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, (
-    2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)))
-_GAUSS = [(0.0, 128 / 225)] + [(sign * math.sqrt(5 + 2 * k * math.sqrt(10 / 7)) / 3,
-                                 (322 - 13 * k * math.sqrt(70)) / 900)
-                                for k in (-1, 1) for sign in (-1, 1)]
-
-
-def _cash_karp(velocity, h):
-    """One step of dx/ds = velocity(x) from 0: the fifth-order end and its
-    distance from the fourth-order one."""
-    k = []
-    for row in _CK_A:
-        k.append(velocity(h * sum((c * kk for c, kk in zip(row, k)), 0j)))
-    end = h * sum(b * kk for b, kk in zip(_CK_B5, k))
-    return end, h * abs(sum(e * kk for e, kk in zip(_CK_ERR, k)))
+# 8-point Gauss-Legendre rule on [-1, 1] in floats: (node, weight) pairs
+_GAUSS = [(sign * t, w) for t, w in (
+    (0.1834346424956498, 0.362683783378362),
+    (0.525532409916329, 0.31370664587788727),
+    (0.7966664774136267, 0.22238103445337448),
+    (0.9602898564975363, 0.10122853629037626)) for sign in (-1, 1)]
 
 
 class ThimbleRay:
@@ -236,7 +223,9 @@ class ThimbleRay:
     Re(exp(-i d) f) is strictly increasing.  f advances by one increment
     of the closed-form primitive per sample (`derham.Primitive`, kept as
     `primitive` for the node tables built on the ray), which also places
-    the seed, so f is exact at every sample; steps run in floats (`_step`).
+    the seed, so f is exact at every sample.  The steps double up to
+    `_step_cap` and Newton puts each end back on the flow line (`_step`),
+    so the samples do not depend on `rk_tol`.
 
     An irregular tail is one fixed sequence: `grow` appends the next
     sample with the step carried over, so the samples do not depend on
@@ -257,7 +246,7 @@ class ThimbleRay:
         self.quadrature = None      # node sequence of the sums, laid by stokes
         self._state = None          # (x_chart_value, f, chart, s)
         self._h = None              # next step of an irregular tail
-        self._steps = 0             # RK steps tried, growth included
+        self._steps = 0             # steps tried, growth included
         self._form_aff = one_form.form
         self._form_inf = one_form.form.at_infinity()
         self.primitive = derham.Primitive(one_form)
@@ -356,18 +345,20 @@ class ThimbleRay:
 
     # -- main loop --
 
-    def _step(self, h, err_floor, h_floor):
-        """Append one accepted Cash-Karp step from the current state; the next h.
+    def _step(self, h):
+        """Append one sample from the current state; the next h.
 
-        h halves until the error is at most tol = rk_tol * max(|x|, err_floor)
-        or h <= h_floor; the next h doubles when the error was below tol / 32.
-        The step runs in floats on the offset delta from x in the frame R of
-        the seed's direction (rotated rays stay exact rotations).  With
-        alpha = C prod (x - s)^n over the chart's zeros and poles, e^{id}/alpha/R
-        has the phase K prod (conj(w)/|w|)^n, w = (x - s)/R + delta: no
-        overflow, and relative accuracy next to a close zero or pole.  The
-        end goes back onto the flow line along i e^{id}/alpha by the exact
-        drift of f at x plus the Gauss sum of Im(e^{-id} alpha) on the chord.
+        Newton in floats, from h along the unit velocity e^{id}|alpha|/alpha,
+        finds the chord from x with e^{-id} int alpha = h |alpha(x)| - i drift
+        (Gauss rule; drift the exact Im(e^{-id} f) - psi0 at x): t grows by
+        h |alpha(x)| and the sample is back on the flow line.  h halves until
+        a correction is at most rk_tol of the chord; the next h is 2h.  The
+        solve runs on the offset delta from x in the frame R of the seed's
+        direction (rotated rays stay exact rotations).  With alpha =
+        C prod (x - s)^n over the chart's zeros and poles and w = (x - s)/R,
+        e^{id}/alpha/R has the phase K prod (conj(w)/|w|)^n, and alpha at
+        delta is alpha(x) prod (1 + delta/w)^n: no overflow, and relative
+        accuracy next to a close zero or pole.
         """
         x, f, chart, s = self._state
         frame, points = self._frame[chart], self._chart_points[chart]
@@ -376,35 +367,43 @@ class ThimbleRay:
             c = self._form_value(chart, x) / mpmath.fprod((y - p) ** n for p, n in points)
             self._phase[chart] = (complex(self._unit * mpmath.conj(c * frame) / abs(c)),
                                   float(mpmath.log(abs(c))))
-        phase, log_c = self._phase[chart]
+        v_x, log_x = self._phase[chart]
         factors = [(complex(y - p), n) for p, n in points]
+        for w, n in factors:
+            v_x *= (w.conjugate() / abs(w)) ** n
+            log_x += n * math.log(abs(w))
 
-        def field(delta):
-            """The velocity and log|alpha| at offset delta."""
-            v, log_alpha = phase, log_c
-            for w0, n in factors:
-                w = w0 + delta
-                v *= (w.conjugate() / abs(w)) ** n
-                log_alpha += n * math.log(abs(w))
-            return v / abs(v), log_alpha
+        def weight(delta):
+            """e^{-id} alpha R / |alpha(x)| at offset delta."""
+            out = v_x.conjugate()
+            for w, n in factors:
+                out *= (1 + delta / w) ** n
+            return out
 
-        tol = float(self.controls.rk_tol) * max(abs(complex(y)), err_floor)
+        drift = float(self._unit.real * f.imag - self._unit.imag * f.real - self.psi0)
+        tol = float(self.controls.rk_tol)
+
+        def corrected(h):
+            """The chord's end for step h, or None where Newton fails."""
+            target, end = h - 1j * drift * math.exp(-log_x), h * v_x
+            for _ in range(_CORRECTOR_STEPS):
+                half = end / 2
+                miss = half * sum(w * weight(half + half * t) for t, w in _GAUSS) - target
+                correction = miss / weight(end)
+                end -= correction
+                if abs(correction) <= tol * abs(end):
+                    return end
+            return None
+
         while True:
             self._steps += 1
             if self._steps > _MAX_STEPS:
                 raise NoCapture("step budget exhausted")
-            end, err = _cash_karp(lambda delta: field(delta)[0], h)
-            if err <= tol or h <= h_floor:
+            end = corrected(h)
+            if end is not None:
                 break
             h *= 0.5
-        v_end, log_end = field(end)
-        half = end / 2
-        lift = (half * sum(w * v.conjugate() * math.exp(log_alpha - log_end)
-                           for t, w in _GAUSS
-                           for v, log_alpha in (field(half + half * t),))).imag
-        drift = float(self._unit.real * f.imag - self._unit.imag * f.real - self.psi0)
-        lift += drift * math.exp(-log_end)
-        x = x + frame * mpc(end - 1j * lift * v_end)
+        x = x + frame * mpc(end)
         x_aff = self._affine(chart, x)
         prim, r_prev = self.primitive, self._rational
         self._rational = prim.rational(x_aff)     # at the last sample
@@ -412,7 +411,7 @@ class ThimbleRay:
         s += h
         self.samples.append((s, x_aff, f))
         self._state = (x, f, chart, s)
-        return 2 * h if err < tol / 32 else h
+        return 2 * h
 
     def _run(self):
         ctl = self.controls
@@ -421,7 +420,7 @@ class ThimbleRay:
         while True:
             if self._state[3] > ctl.max_arc_length:
                 raise NoCapture("arc length budget exhausted")
-            h = self._step(h, 1.0, 1e-30)
+            h = self._step(h)
             x, f, chart, s = self._state
             x_aff = self.samples[-1][1]
             # chart management
@@ -501,7 +500,7 @@ class ThimbleRay:
         """Append the next sample of an irregular tail; False on other rays."""
         if self.terminal is None or self.terminal.pole_order < 2:
             return False
-        h = self._step(self._h, 1e-6, 1e-40)
+        h = self._step(self._h)
         x, _, chart, _ = self._state
         self._h = min(h, self._inner_step(chart, x))
         return True

@@ -477,7 +477,7 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
-    p.add_argument("--grid", default="0.3:0.42:4:2",
+    p.add_argument("--grid", default="0.3:0.42:6:1",
                    help="r_min:r_max:n_radial:n_angular, angles in the overlap "
                         "of the two directions' half-planes")
     p.add_argument("--tolerance", default="1e-16")

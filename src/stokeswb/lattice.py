@@ -6,7 +6,9 @@ lower bound R ||gamma|| <= |mu(gamma)|) makes enumeration balls finite
 and keeps exponential sums summable; everything downstream assumes it.
 """
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +23,9 @@ _ZERO_TOL = mpf("1e-40")
 # norm or a modulus against its bound: only what passes the screen is
 # tested at working precision
 _SCREEN = 1e-9
+# absolute margin of the float screens of angles in [0, 2 pi): well above
+# their float error of a few 1e-16
+_ANGLE_SCREEN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,39 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
                 if not any(abs(w - o) <= dedup_tol for o in near):
                     out.append(w)
                     cells.setdefault((i, j), []).append(w)
-    out.sort(key=lambda w: (abs(w), mpmath.arg(w)))
+    return _by_modulus(out)
+
+
+def _by_modulus(points):
+    """points sorted by (abs(w), arg(w)) at working precision.
+
+    The sort runs on float keys.  A run of neighbours whose float moduli
+    agree to _SCREEN is ordered by the exact modulus, then by the float
+    argument, or by the exact one where two equal moduli have float
+    arguments that agree to _SCREEN.
+    """
+    def settle(run):
+        run = sorted(((abs(w), arg_f, w) for _, arg_f, w in run), key=lambda k: k[:2])
+        if any(a[0] == b[0] and b[1] - a[1] <= _SCREEN for a, b in zip(run, run[1:])):
+            run.sort(key=lambda k: (k[0], mpmath.arg(k[2])))
+        return run
+
+    keyed = [(abs(wf), cmath.phase(wf), w) for w, wf in ((w, complex(w)) for w in points)]
+    return [w for _, _, w in _float_sorted(
+        keyed, lambda a, b: b[0] - a[0] <= _SCREEN * b[0], settle)]
+
+
+def _float_sorted(keyed, close, settle):
+    """Tuples sorted by their leading floats, each run of neighbours that
+    are `close` put in order by `settle`."""
+    keyed = sorted(keyed, key=lambda k: k[:-1])
+    out, start = [], 0
+    for end in range(1, len(keyed) + 1):
+        if end < len(keyed) and close(keyed[end - 1], keyed[end]):
+            continue
+        run = keyed[start:end]
+        out.extend(settle(run) if len(run) > 1 else run)
+        start = end
     return out
 
 
@@ -189,21 +226,32 @@ def is_generic(d, c_set, lat, radius, angle_tol=mpf("1e-12")):
 def nongeneric_directions(c_set, lat, radius, angle_tol=mpf("1e-12")):
     """Sorted non-generic directions in [0, 2*pi), deduplicated."""
     out = []
-    # kept angles by bucket of width angle_tol; an angle within angle_tol of
-    # a, modulo 2 pi, lies in a neighbour of the bucket of a, a - 2 pi or
-    # a + 2 pi
+    # kept angles (float, exact) by float bucket of width 2 angle_tol; an
+    # angle within angle_tol of a, modulo 2 pi, lies in a neighbour of the
+    # bucket of a, a - 2 pi or a + 2 pi.  Floats decide where they are
+    # _ANGLE_SCREEN clear of angle_tol, the exact angles elsewhere
     buckets = {}
-    twopi = 2 * mp.pi
+    tol = float(angle_tol)
     for w in critical_differences(c_set, lat, radius):
+        af = cmath.phase(complex(w))
+        if af < 0:
+            af += 2 * math.pi
+        keys = [math.floor((af + s) / (2 * tol)) for s in (-2 * math.pi, 0, 2 * math.pi)]
+        near = [(bf, b) for k in keys for dk in (-1, 0, 1)
+                for bf, b in buckets.get(k + dk, ())]
+        gaps = [(abs(math.remainder(af - bf, 2 * math.pi)), b) for bf, b in near]
+        if any(gap < tol - _ANGLE_SCREEN for gap, _ in gaps):
+            continue
         a = mpmath.arg(w)
         if a < 0:
-            a += twopi
-        keys = [int(mpmath.floor((a + s) / angle_tol)) for s in (-twopi, 0, twopi)]
-        near = (b for k in keys for dk in (-1, 0, 1) for b in buckets.get(k + dk, ()))
-        if not any(abs(wrap_angle(a - b)) < angle_tol for b in near):
-            out.append(a)
-            buckets.setdefault(keys[1], []).append(a)
-    return sorted(out)
+            a += 2 * mp.pi
+        if any(abs(wrap_angle(a - b)) < angle_tol
+               for gap, b in gaps if gap <= tol + _ANGLE_SCREEN):
+            continue
+        out.append((af, a))
+        buckets.setdefault(keys[1], []).append((af, a))
+    return [a for _, a in _float_sorted(out, lambda a, b: b[0] - a[0] <= _ANGLE_SCREEN,
+                                        lambda run: sorted(run, key=lambda k: k[1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,8 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     z = to_mpc(z)
     rate = mpmath.cos(ray.d - mpmath.arg(z)) / abs(z)
     if rate <= 0:
-        raise TailNotDecaying(f"z={z} outside the half-plane of direction {ray.d}")
+        raise TailNotDecaying(f"z={mpmath.nstr(z, 3)} outside the half-plane of "
+                              f"direction {mpmath.nstr(ray.d, 3)}")
     term = ray.terminal
     width = None
     if term.pole_order == 1:
@@ -474,8 +475,8 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
         decay = -mpmath.re(res_z)
         tail_rate = decay - n_om + 1
         if tail_rate <= mpf("0.05"):
-            raise TailNotDecaying(f"simple-pole tail rate {tail_rate} at z={z} "
-                                  f"(omega pole order {n_om})")
+            raise TailNotDecaying(f"simple-pole tail rate {mpmath.nstr(tail_rate, 3)} "
+                                  f"at z={mpmath.nstr(z, 3)} (omega pole order {n_om})")
         width = _quantized_df(1 / (abs(res_z) + abs(n_om - 1) + 1), tol)
     tol_abs, stop_decay = _cutoffs(ray, z, tol)
     if term.pole_order == 1:
@@ -504,7 +505,7 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     bound = m_tail * mpmath.exp(-exponent) / rate
     if bound > tol_abs:
         raise TailNotDecaying(f"irregular tail bound {mpmath.nstr(bound, 3)} "
-                              f"above {mpmath.nstr(tol_abs, 3)} at z={z}")
+                              f"above {mpmath.nstr(tol_abs, 3)} at z={mpmath.nstr(z, 3)}")
     return total
 
 

@@ -186,16 +186,37 @@ class TestTracing:
         monkeypatch.setattr(derham.RationalForm, "__call__",
                             lambda form, x: calls.append(x) or call(form, x))
         counts = []
-        for rk_tol in ("1e-8", "1e-14"):
+        for rk_tol, grown in (("1e-8", 0), ("1e-14", 400)):
             calls.clear()
             ray = betti.ThimbleRay(gamma_form, gamma_crit, 0, 0, mp.pi / 2 + mpf("0.2"),
                                    TraceControls(rk_tol=mpf(rk_tol)))
-            for _ in range(20):
+            for _ in range(grown):
                 ray.grow()
             counts.append((len(calls), len(ray.samples)))
         (coarse, few), (fine, many) = counts
         assert many > 5 * few
         assert coarse == fine <= betti._SEED_NEWTON_STEPS + 2
+
+    @pytest.mark.parametrize("d", [mpf("0.8"), mp.pi - mpf("0.2")])
+    def test_few_samples_on_the_flow_line(self, gamma_form, gamma_crit, d):
+        # the step cap alone sets the samples (765 and 1,046 on the forward
+        # rays under a Cash-Karp error target), and each lands on the flow
+        # line to float rounding of f
+        path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, d)
+        for ray in (path.forward, path.backward):
+            assert len(ray.samples) <= 150
+            f_max = max(abs(f) for _, _, f in ray.samples)
+            assert ray.im_deviation() <= mpf("1e-14") * max(1, f_max)
+            assert ray.monotone_flow()
+
+    def test_samples_do_not_depend_on_rk_tol(self, gamma_form, gamma_crit):
+        # rk_tol only stops the corrector, so the same steps are taken
+        for d in (mpf("0.8"), mp.pi - mpf("0.2")):
+            for ell in (0, 1):
+                counts = {len(betti.ThimbleRay(gamma_form, gamma_crit, 0, ell, d,
+                                               TraceControls(rk_tol=mpf(tol))).samples)
+                          for tol in ("1e-8", "1e-14")}
+                assert len(counts) == 1
 
     def test_spiral_regime(self):
         # residue with an imaginary part spirals into the simple pole

@@ -212,6 +212,18 @@ class TestThimble:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestStokes:
+    def test_readme_command_with_the_default_grid(self, tmp_path, monkeypatch):
+        # the README's pair of directions has an overlap 0.2 wide: the
+        # default grid keeps to its middle, where the tail into the simple
+        # pole at 0 still decays
+        spec = gamma_spec(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["stokes", spec, "--d1", "0", "--d2", "2.94159"]) == 0
+        factor = json.loads((tmp_path / "stokes_factor.json").read_text())
+        assert mpf(factor["fit_residual"]) < mpf("1e-10")
+
+
 class TestCheck:
     def test_all_pass(self, capsys):
         assert run_cli(["check"]) == 0

@@ -93,12 +93,26 @@ def pairwise_differences(c_set, lat, radius):
     return sorted(out, key=lambda w: (abs(w), mpmath.arg(w)))
 
 
+def exact_directions(diffs, angle_tol):
+    """nongeneric_directions from the exact arguments, each against every
+    kept one."""
+    out = []
+    for w in diffs:
+        a = mpmath.arg(w)
+        if a < 0:
+            a += 2 * mp.pi
+        if not any(abs(wrap_angle(a - b)) < angle_tol for b in out):
+            out.append(a)
+    return sorted(out)
+
+
 class TestDeduplication:
     # a lattice of small support radius puts thousands of differences in
     # the default search disk of `analyze`; the kept points are looked up
     # by cell, and must be the ones a pairwise scan keeps
     SKEW = Lattice((mpc("0.28212334869654604", "1.5707963267948966"),
                     mpc("-0.28212334869654604", "1.5707963267948966")))
+    TOL = mpf("1e-12")      # the angle tolerance of the direction scans
 
     def test_skew_lattice_matches_pairwise(self):
         c_set = [mpc(0), mpc("0.5", "0.25")]
@@ -120,6 +134,27 @@ class TestDeduplication:
         assert [critical_differences(c_set, lat, radius)
                 for lat in (self.SKEW, weighted)] == screened
         assert [list(lat.vectors_in_ball(2)) for lat in (self.SKEW, weighted)] == balls
+
+    def test_float_keys_keep_the_exact_order(self):
+        # the rotations by pi/3 of the hexagonal lattice give equal moduli,
+        # some equal at working precision and some apart by its rounding
+        hexagonal = Lattice((mpc(1), mpmath.exp(1j * mp.pi / 3)))
+        c_set = [mpc(0), mpc("0.5", "0.25")]
+        for lat in (self.SKEW, hexagonal):
+            out = critical_differences(c_set, lat, 6)
+            assert out == sorted(out, key=lambda w: (abs(w), mpmath.arg(w)))
+            assert (lattice.nongeneric_directions(c_set, lat, 6, angle_tol=self.TOL)
+                    == exact_directions(out, self.TOL))
+
+    @pytest.mark.parametrize("offset, kept", [(-1, 1), (1, 2)])
+    def test_directions_at_the_tolerance_decided_exactly(self, offset, kept):
+        # arguments 0 and 1e-12 -+ 1e-29: the float gap is within rounding
+        # of the 1e-12 tolerance, so the exact arguments decide
+        theta = self.TOL + offset * mpf("1e-29")
+        c_set = [mpc(0), mpc(1), mpmath.exp(1j * theta)]
+        out = lattice.nongeneric_directions(c_set, Lattice(()), 5, angle_tol=self.TOL)
+        assert out == exact_directions(critical_differences(c_set, Lattice(()), 5), self.TOL)
+        assert sum(a < mpf("1e-11") for a in out) == kept
 
     def test_points_closer_than_the_tolerance_kept_once(self):
         # offsets of 4e-31 and 8e-31 around a cell edge at 1e-30 * 5
