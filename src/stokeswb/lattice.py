@@ -4,6 +4,8 @@ A lattice is Z^r together with complex period values mu(e_i) on the
 generators and a weighted l1 norm.  The support property (a positive
 lower bound R ||gamma|| <= |mu(gamma)|) makes enumeration balls finite
 and keeps exponential sums summable; everything downstream assumes it.
+Tolerance defaults are strings, made mpf at call time, so they carry
+the working precision of the call.
 """
 
 import cmath
@@ -214,17 +216,18 @@ class GenericityReport:
     witness: Optional[object]    # offending element of the difference set
 
 
-def is_generic(d, c_set, lat, radius, angle_tol=mpf("1e-12")):
+def is_generic(d, c_set, lat, radius, angle_tol="1e-12"):
     """True when the ray arg = d avoids all critical differences."""
-    d = mpf(d)
+    d, angle_tol = mpf(d), mpf(angle_tol)
     for w in critical_differences(c_set, lat, radius):
         if abs(wrap_angle(mpmath.arg(w) - d)) < angle_tol:
             return GenericityReport(False, w)
     return GenericityReport(True, None)
 
 
-def nongeneric_directions(c_set, lat, radius, angle_tol=mpf("1e-12")):
+def nongeneric_directions(c_set, lat, radius, angle_tol="1e-12"):
     """Sorted non-generic directions in [0, 2*pi), deduplicated."""
+    angle_tol = mpf(angle_tol)
     out = []
     # kept angles (float, exact) by float bucket of width 2 angle_tol; an
     # angle within angle_tol of a, modulo 2 pi, lies in a neighbour of the
@@ -341,7 +344,8 @@ class ExpSum:
         return {g: (self.offset + self.lattice.period(g), c)
                 for g, c in self.terms.items()}
 
-    def equals(self, other, tol=mpf("1e-30")):
+    def equals(self, other, tol="1e-30"):
+        tol = mpf(tol)
         mine = list(self.exponent_map().values())
         theirs = list(other.exponent_map().values())
         if len(mine) != len(theirs):
@@ -532,7 +536,8 @@ class ExponentMultiMap:
                 raise ValueError("monotonicity violated: super-arc with larger value")
         self._arcs.append((lo, hi, value))
 
-    def value(self, lo, hi, tol=mpf("1e-12")):
+    def value(self, lo, hi, tol="1e-12"):
+        tol = mpf(tol)
         for (l2, h2, v2) in self._arcs:
             if abs(l2 - lo) <= tol and abs(h2 - hi) <= tol:
                 return v2

@@ -2,39 +2,34 @@
 
 The contour integral of exp(-f/z) * omega along a traced ray is one sum
 over one sequence of z-independent quadrature nodes kept on the ray, in
-flow order: the straight gap out of the zero, the chords along the
-sampled flow line from where the gap ends, and, on a ray that ends in a
-simple pole, the straightened tail into the pole.  f at the nodes comes
-from the ray's closed-form primitive (`derham.Primitive`) alone, never
-from the formal side's series, and each part keeps w * omega at its
-nodes per omega, so one trace serves a whole z grid at one exp per node.
+flow order: the chords along the sampled flow line, the first of which
+starts at the zero, and, on a ray that ends in a simple pole, the
+straightened tail into the pole.  f at the nodes comes from the ray's
+closed-form primitive (`derham.Primitive`) alone, never from the formal
+side's series, and each part keeps w * omega at its nodes per omega, so
+one trace serves a whole z grid at one exp per node.
 
-The gap is laid per chord span: it runs from the zero to the last
-sample of the first trace up to which every sample lies in the disk
-where the seed is placed (radius 2 `ThimbleRay._step_cap` at the zero)
-and within one span of the critical value.  That disk holds no pole or
-other zero, so the straight segment integrates the same as the traced
-path (Cauchy), and near the zero, where f is nearly flat, a few panels
-replace the many short chords the flow line would need there.
-
-Every part is sized by one remainder budget: the 12-point
+Every part is sized by one remainder budget: the 24-point
 Gauss-Legendre remainder stays below 1e-6 tol relative to the
 integrand.  A chord spans at most the largest power of two in f at which
 the remainder for exp(-f/z) meets it (`_quantized_df`), and keeps the
 poles of the form far enough that the Bernstein-ellipse remainder,
-rho^-24 with the exponential's growth on the ellipse, meets it
-(`_bernstein_rho`); zeros do not bound it.  A pole-tail panel
-is the widest power of two in its parameter that meets it at the rate
-the tail's terms turn (`ray_integral`).  Nodes are laid, and omega
-evaluated on them, only as far along the ray as a sum has read: up to
-where Re(f/z) passes the decay cut-off of the z at hand, growing an
-irregular tail as they go.  A later z reads on from there, so a result
-does not depend on which z ran before.
+rho^-48 with the exponential's growth on the ellipse, meets it
+(`_bernstein_rho`).  Zeros do not bound a chord, since the integrand is
+analytic there, so the first chord runs out of the zero under the same
+bounds as every other.  A pole-tail panel is the widest power of two in
+its parameter that meets the budget at the rate the tail's terms turn
+(`ray_integral`).  Nodes are laid, and omega evaluated on them, only as
+far along the ray as a sum has read: up to where Re(f/z) passes the
+decay cut-off of the z at hand, growing an irregular tail as they go.
+A later z reads on from there, so a result does not depend on which z
+ran before.
 
 Sectorial matrices collect the normalized integrals over the
 discrete-Fourier cycles; Stokes factors are least-squares fits of
 matrix transition data over the exponential dictionary supplied by the
-period lattice.
+period lattice.  Tolerance defaults are strings, made mpf at call time,
+so they carry the working precision of the call.
 """
 
 import math
@@ -54,12 +49,10 @@ from .scalar import legendre_nodes, to_mpc
 
 
 # Gauss-Legendre nodes per flow-line chunk and per pole-tail panel
-_CHORD_NODES = 12
-# (n!)^4 / ((2n+1) ((2n)!)^3) at n = _CHORD_NODES, about 8.8e-39
+_CHORD_NODES = 24
+# (n!)^4 / ((2n+1) ((2n)!)^3) at n = _CHORD_NODES, about 1.6e-90
 _REMAINDER = (math.factorial(_CHORD_NODES) ** 4
               / ((2 * _CHORD_NODES + 1) * math.factorial(2 * _CHORD_NODES) ** 3))
-# the straight gap out of the zero: panels, and nodes per panel
-_GAP_PANELS, _GAP_NODES = 3, 16
 
 
 # ---------------------------------------------------------------------------
@@ -95,54 +88,6 @@ class _Nodes:
             i += 1
 
 
-class _SeedGap(_Nodes):
-    """The straight segment from the zero q to sample `end` of the first
-    trace, with f = c + primitive.increment(q, x); laid in one batch.
-
-    `_gap_end` keeps every sample it covers inside the disk of radius
-    2 _step_cap(q) around q, where the seed is placed: the disk holds no
-    pole or other zero, so the segment integrates the same as the traced
-    path (Cauchy).  It also keeps |f - c| at most the chord span there;
-    f - c grows like |x - q|^(m+1) along the segment, so none of the
-    panels spans more f than one chord.
-    """
-
-    def __init__(self, ray, end):
-        super().__init__(ray)
-        self.end = end
-
-    def lay(self):
-        if self.nodes:
-            return False
-        ray = self.ray
-        q = to_mpc(ray.one_form.zeros[ray.j].location)
-        c = ray.crit.values[ray.j]
-        half = (ray.samples[self.end][1] - q) / (2 * _GAP_PANELS)
-        for p in range(_GAP_PANELS):
-            mid = q + (2 * p + 1) * half
-            for xg, wg in legendre_nodes(_GAP_NODES):
-                x = mid + half * xg
-                self.nodes.append((x, c + ray.primitive.increment(q, x),
-                                   wg * half, "affine"))
-        return True
-
-
-def _gap_end(ray, df_max):
-    """The last sample k of the first trace such that every sample 0..k
-    lies within 2 _step_cap(q) of the zero q with |f - c| <= df_max;
-    0, the seed, when sample 1 does not."""
-    q = to_mpc(ray.one_form.zeros[ray.j].location)
-    c = ray.crit.values[ray.j]
-    radius = 2 * ray._step_cap("affine", q)
-    k = 0
-    while k + 1 < ray.n_traced:
-        _, x, f = ray.samples[k + 1]
-        if abs(x - q) > radius or abs(f - c) > df_max:
-            break
-        k += 1
-    return k
-
-
 def _chart_poles(ray, chart):
     """The form's poles in a chart: the finite ones, and in the 1/x chart
     their images 1/p together with v = 0."""
@@ -156,59 +101,67 @@ class _RayTable(_Nodes):
     """Flow-line chords of one traced ray at chord span df_max and
     Bernstein parameter rho.
 
-    The nodes lie on the sampled polyline, in the 1/x chart where both
-    ends of a chord's first sample interval lie beyond the tracer's
-    switch radius.  A chord runs on over consecutive samples while three
-    bounds hold at the next sample b, seen from the chord's first sample
-    a: it spans at most df_max of the primitive; the poles of the form in
-    the chart keep the remainder within budget (`_ellipse_resolved`);
-    and b lies inside the largest pole-free disk around a.  The span
-    and the poles bound the 12-point Gauss-Legendre remainder of
-    exp(-f/z) omega on the chord to the budget rho^-24 <= 1e-6 tol: the
-    span by the Taylor remainder of the exponential (`_quantized_df`),
-    the poles of omega and the log terms of f through the Bernstein
-    ellipse with foci a and b (`_bernstein_rho`).  Zeros do not bound a
-    chord, since the integrand is analytic there.  The disk holds the
-    samples the chord covers and no pole, so the chord integrates the
-    same as the traced path (Cauchy).  Each bound reads only a and b,
-    so a step costs O(poles).  A sample interval that spans more than
-    df_max is cut into chunks of at most df_max.  f at each node is the
-    ray's closed-form primitive, chained from node to node; `drift` is
-    the largest gap between that chain, closed at the end of each chord,
-    and the traced f there.
+    The chords run over the ray's samples with the zero (0, q, c) put in
+    front as sample 0 (`sample`), so the first chord starts at q.  The
+    nodes lie on the sampled polyline, in the 1/x chart where both ends
+    of a chord's first sample interval lie beyond the tracer's switch
+    radius.  A chord runs on over consecutive samples while three bounds
+    hold at the next sample b, seen from the chord's first sample a: it
+    spans at most df_max of the primitive; the poles of the form in the
+    chart keep the remainder within budget (`_ellipse_resolved`); and b
+    lies inside the largest pole-free disk around a.  The span and the
+    poles bound the 24-point Gauss-Legendre remainder of exp(-f/z) omega
+    on the chord to the budget rho^-48 <= 1e-6 tol: the span by the
+    Taylor remainder of the exponential (`_quantized_df`), the poles of
+    omega and the log terms of f through the Bernstein ellipse with foci
+    a and b (`_bernstein_rho`).  Zeros do not bound a chord, since the
+    integrand is analytic there, at q too.  The disk holds the samples
+    the chord covers and no pole, so the chord integrates the same as
+    the traced path (Cauchy).  Each bound reads only a and b, so a step
+    costs O(poles).  A sample interval that spans more than df_max is
+    cut into chunks of at most df_max.  f at each node is the ray's
+    closed-form primitive, chained from node to node; `drift` is the
+    largest gap between that chain, closed at the end of each chord, and
+    the traced f there.
 
-    `lay` lays the next chord of the one greedy sequence over the ray's
-    samples from sample `start`, where the span's seed gap ends.  A
-    chord that reaches the last sample of an irregular tail grows the
-    ray (`ThimbleRay.grow`), so no chord is cut at a traced end, and the
-    chords a sum reads do not depend on what ran before it.
+    `lay` lays the next chord of the one greedy sequence over the
+    samples.  A chord that reaches the last sample of an irregular tail
+    grows the ray (`ThimbleRay.grow`), so no chord is cut at a traced
+    end, and the chords a sum reads do not depend on what ran before it.
     """
 
-    def __init__(self, ray, df_max, rho, start=0):
+    def __init__(self, ray, df_max, rho):
         super().__init__(ray)
         self.df_max = mpf(df_max)
         self.chords = []         # (first sample, last sample) per chord
         self.drift = mpf(0)
-        self._consumed = start + 1   # the first chord starts at sample start
+        self._consumed = 1       # the first chord starts at sample 0, the zero
+        self._zero = (mpf(0), to_mpc(ray.one_form.zeros[ray.j].location),
+                      ray.crit.values[ray.j])
         self._poles = {chart: _chart_poles(ray, chart) for chart in ("affine", INF)}
-        # a span of df_max meets the budget rho^-24 at |z| = df_max rho
-        # _REMAINDER^(1/24) (`_quantized_df`): f / that is the exponent's
+        # a span of df_max meets the budget rho^-2n at |z| = df_max rho
+        # _REMAINDER^(1/2n) (`_quantized_df`): f / that is the exponent's
         # change in units of |z|
         self._per_z = 1 / (float(self.df_max * rho)
                            * _REMAINDER ** (1 / (2 * _CHORD_NODES)))
         self._log_rho = math.log(rho)
 
+    def sample(self, i):
+        """(s, x, f) of sample i: the zero, then the ray's samples."""
+        return self._zero if i == 0 else self.ray.samples[i - 1]
+
     def _ellipse_resolved(self, df, length, focal_sums):
-        """Whether the poles leave the chord's remainder within rho^-24.
+        """Whether the poles leave the chord's remainder within rho^-2n,
+        n = _CHORD_NODES.
 
         focal_sums holds |p - a| + |p - b| per pole p, so the Bernstein
         ellipse with foci a and b through the nearest pole has parameter
         R with (R + 1/R)/2 = c = min(focal_sums)/|b - a|.  By Trefethen's
-        bound the remainder is about R^-24 times the largest integrand on
+        bound the remainder is about R^-2n times the largest integrand on
         that ellipse, on which exp(-f/z) grows by up to exp(s c/2), s the
         chord's span in units of |z|; so the chord holds while
-        24 log(R/rho) >= s c/2.  A pole beyond the ellipse that best
-        resolves the exponential alone, R* = 48/s + sqrt((48/s)^2 + 1),
+        2n log(R/rho) >= s c/2.  A pole beyond the ellipse that best
+        resolves the exponential alone, R* = 4n/s + sqrt((4n/s)^2 + 1),
         leaves the span bound to decide.
         """
         if not focal_sums:
@@ -216,18 +169,19 @@ class _RayTable(_Nodes):
         c = max(float(min(focal_sums) / length), 1.0)
         r_pole = c + math.sqrt(c * c - 1)
         s = float(df) * self._per_z
-        if s > 0 and r_pole >= 48 / s + math.sqrt((48 / s) ** 2 + 1):
+        n4 = 4 * _CHORD_NODES
+        if s > 0 and r_pole >= n4 / s + math.sqrt((n4 / s) ** 2 + 1):
             return True
-        return 24 * (math.log(r_pole) - self._log_rho) >= s * c / 2
+        return 2 * _CHORD_NODES * (math.log(r_pole) - self._log_rho) >= s * c / 2
 
     def lay(self):
         """Lay the next chord greedily; False once a finite ray is covered."""
         ray = self.ray
-        samples = ray.samples
+        sample = self.sample
 
         def has(i):
             # samples are read in order, so one grown sample reaches i
-            return i < len(samples) or ray.grow()
+            return i <= len(ray.samples) or ray.grow()
 
         if not has(self._consumed):
             return False
@@ -235,10 +189,10 @@ class _RayTable(_Nodes):
         switch = ray._switch_radius
 
         def in_inf(i):
-            return abs(samples[i][1]) > switch and abs(samples[i + 1][1]) > switch
+            return abs(sample(i)[1]) > switch and abs(sample(i + 1)[1]) > switch
 
         start = self._consumed - 1
-        _, x0, f0 = samples[start]
+        _, x0, f0 = sample(start)
         use_inf = in_inf(start)
         chart = INF if use_inf else "affine"
         a_pt = 1 / x0 if use_inf else x0
@@ -246,7 +200,7 @@ class _RayTable(_Nodes):
         radius = min((dist for _, dist in poles), default=mpmath.inf)
         end = start + 1
         while has(end + 1) and in_inf(end) == use_inf:
-            _, x_next, f_next = samples[end + 1]
+            _, x_next, f_next = sample(end + 1)
             b_next = 1 / x_next if use_inf else x_next
             length = abs(b_next - a_pt)
             df = abs(f_next - f0)
@@ -256,7 +210,7 @@ class _RayTable(_Nodes):
             end += 1
         self._consumed = end + 1
         self.chords.append((start, end))
-        _, x1, f1 = samples[end]
+        _, x1, f1 = sample(end)
         b_pt = 1 / x1 if use_inf else x1
         pieces = max(1, int(mpmath.ceil(abs(f1 - f0) / self.df_max)))
         f_run, prev, r_prev = f0, x0, prim.rational(x0)
@@ -283,7 +237,7 @@ class _PoleTail(_Nodes):
     In the pole's chart, centred on it, the segment is v = v0 exp(-tau),
     v0 the capture point: at a finite pole the pole's own log term of
     the primitive is exactly -residue * tau there, so f is exact at
-    every node.  Each `lay` adds one 12-node panel of `width` in tau
+    every node.  Each `lay` adds one 24-node panel of `width` in tau
     (`ray_integral` sizes it by the 1e-6 tol budget of
     `_quantized_df`); the tail has no end.
     """
@@ -324,15 +278,14 @@ def _pole_chart(ray):
 class _RayQuadrature:
     """The node sequence of one traced ray, kept on the ray.
 
-    Each chord span df_max and Bernstein parameter rho has its own seed
-    gap, out to `_gap_end` of that span, and its own flow-line table,
-    whose chords start where the gap ends.  A simple-pole tail depends
-    only on its panel width, so the spans share one tail per width.
+    Each chord span df_max and Bernstein parameter rho has its own
+    flow-line table from the zero.  A simple-pole tail depends only on
+    its panel width, so the spans share one tail per width.
     """
 
     def __init__(self, ray):
         self.ray = ray
-        self.spans = {}          # (df_max, rho) -> (gap, table)
+        self.spans = {}          # (df_max, rho) -> table
         self.tails = {}          # panel width in tau -> pole tail
 
     @classmethod
@@ -342,19 +295,17 @@ class _RayQuadrature:
         return ray.quadrature
 
     def parts(self, df_max, rho, width=None):
-        """The gap and chords of (df_max, rho), then on a simple-pole ray
-        the tail of panel width `width`, in flow order."""
+        """The chords of (df_max, rho), then on a simple-pole ray the tail
+        of panel width `width`, in flow order."""
         key = (mpf(df_max), mpf(rho))
         if key not in self.spans:
-            end = _gap_end(self.ray, key[0])
-            self.spans[key] = (_SeedGap(self.ray, end),
-                               _RayTable(self.ray, *key, end))
+            self.spans[key] = _RayTable(self.ray, *key)
         if width is None:
-            return list(self.spans[key])
+            return [self.spans[key]]
         width = mpf(width)
         if width not in self.tails:
             self.tails[width] = _PoleTail(self.ray, width)
-        return [*self.spans[key], self.tails[width]]
+        return [self.spans[key], self.tails[width]]
 
 
 def _exp_sum(terms, z, stop_decay):
@@ -391,18 +342,20 @@ def _quantized_df(z_abs, tol):
 
     The n-point Gauss-Legendre remainder for exp(-f/z) over a span L in
     f, relative to the integrand, is (L/|z|)^(2n) (n!)^4 / ((2n+1)
-    ((2n)!)^3); for the 12 nodes of a chunk that is about 8.8e-39
-    (L/|z|)^24.  The span keeps it at most 1e-6 tol, the one remainder
+    ((2n)!)^3); for the 24 nodes of a chunk that is about 1.6e-90
+    (L/|z|)^48.  The span keeps it at most 1e-6 tol, the one remainder
     budget of every part: the Bernstein ellipse of a chord
     (`_bernstein_rho`) and the panels of a pole tail, whose width in tau
     is this span at |z| = 1/rate for the rate at which the tail's terms
     turn, are held to it too.  The margin is for `stokes_factor`, whose
-    fits amplify the quadrature error of the entries: on the grid of
-    acceptance criterion 3 (|z| = 0.3, tol 1e-14) a margin of 1e-3 gives
-    span 2, which changes the entries by about 1e-20 and the fitted
-    coefficients by 5e-13, while span 1 leaves the fit unchanged.
-    Rounding down to a power of two lets the z of a grid, and nearby
-    stand-alone z, share one table.
+    fits amplify the quadrature error of the entries.  At 24 nodes the
+    span moves as the 48th root of the budget: on the grid of acceptance
+    criterion 3 (|z| = 0.3, tol 1e-14) every margin from 1e-7 to 1e7
+    gives span 8.  Span 16 there changes the entries by 2.3e-14 and the
+    fitted |c1 + 1| from 1.8e-15 to 4.0e-9, while span 4 changes the
+    entries by 6e-21 and leaves the fit at the same level.  Rounding
+    down to a power of two lets the z of a grid, and nearby stand-alone
+    z, share one table.
     """
     raw = mpf(z_abs) * (mpf("1e-6") * mpf(tol) / _REMAINDER) ** (
         mpf(1) / (2 * _CHORD_NODES))
@@ -410,18 +363,18 @@ def _quantized_df(z_abs, tol):
 
 
 def _bernstein_rho(tol):
-    """Chord ellipse: the smallest power of two rho with rho^-24 <= 1e-6 tol.
+    """Chord ellipse: the smallest power of two rho with rho^-48 <= 1e-6 tol.
 
-    The 12-point Gauss-Legendre remainder of an integrand analytic inside
+    The 24-point Gauss-Legendre remainder of an integrand analytic inside
     the Bernstein ellipse of parameter rho, with a pole or log branch
-    point on it, is about rho^-24 times the integrand there, so a chord
+    point on it, is about rho^-48 times the integrand there, so a chord
     whose ellipse holds no pole, and on which the exponential stays
     resolved (`_RayTable._ellipse_resolved`), meets the budget of
     `_quantized_df`.  Rounding up to a power of two, as the span rounds
-    down, leaves the remainder between 2^-24 and 1 times the budget and
-    lets nearby tolerances share one table.  Unrounded, rho = 6.8 at
-    acceptance criterion 3's tol 1e-14 moves its fitted |c1 + 1| from
-    1.6e-15 to 8.5e-15.
+    down, leaves the remainder between 2^-48 and 1 times the budget and
+    lets nearby tolerances share one table.  Unrounded, rho = 2.6 at
+    acceptance criterion 3's tol 1e-14 (rounded: 4) changes its entries
+    by 2e-18 and moves the fitted |c1 + 1| from 1.8e-15 to 1.9e-13.
     """
     raw = (mpf("1e-6") * mpf(tol)) ** (-mpf(1) / (2 * _CHORD_NODES))
     return mpf(2) ** int(mpmath.ceil(mpmath.log(raw, 2)))
@@ -439,18 +392,17 @@ def _cutoffs(ray, z, tol):
     return tol_abs, mpmath.log(1 / tol_abs) + 15
 
 
-def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
+def ray_integral(ray, omega, z, tol="1e-12", df_max=None):
     """Integral of exp(-f/z) omega from the zero along one outgoing ray.
 
-    One sum over the ray's node sequence in flow order: the straight
-    gap out of the zero and the chords from its end, both at span df_max
-    (by default the largest span `_quantized_df` allows at this |z| and
-    tol) and chord ellipse `_bernstein_rho(tol)`, and on a ray into a
-    simple pole the straightened tail.  The tail's terms turn in tau at
-    the exponential rate |res/z|, at omega's rate |n_om - 1|, and at
-    rate 1 through the terms of f and omega analytic at the pole, so its
-    panel width is the `_quantized_df` span at |z| = 1/(sum of the
-    three).  Its reach is set by the sum alone: nodes are laid, and an
+    One sum over the ray's node sequence in flow order: the chords from
+    the zero at span df_max (by default the largest span `_quantized_df`
+    allows at this |z| and tol) and chord ellipse `_bernstein_rho(tol)`,
+    and on a ray into a simple pole the straightened tail.  The tail's
+    terms turn in tau at the exponential rate |res/z|, at omega's rate
+    |n_om - 1|, and at rate 1 through the terms of f and omega analytic
+    at the pole, so its panel width is the `_quantized_df` span at
+    |z| = 1/(sum of the three).  Its reach is set by the sum alone: nodes are laid, and an
     irregular tail grown, up to where Re(f/z) passes the decay cut-off
     of `_cutoffs` (on a simple-pole tail one panel further), past which
     no node counts.  A simple-pole tail must decay at a rate above 0.05
@@ -509,13 +461,13 @@ def ray_integral(ray, omega, z, tol=mpf("1e-12"), df_max=None):
     return total
 
 
-def path_integral_exp(path, omega, z, tol=mpf("1e-12")):
+def path_integral_exp(path, omega, z, tol="1e-12"):
     """Integral over a full thimble: forward ray minus backward ray."""
     return (ray_integral(path.forward, omega, z, tol)
             - ray_integral(path.backward, omega, z, tol))
 
 
-def exp_integral(obj, omega, crit, z, tol=mpf("1e-12")):
+def exp_integral(obj, omega, crit, z, tol="1e-12"):
     """Exponential period of omega over a thimble or cycle at z."""
     if isinstance(obj, ThimblePath):
         return path_integral_exp(obj, omega, z, tol)
@@ -593,7 +545,7 @@ def default_representatives(one_form):
 
 
 def sector_matrix(one_form, crit, d, z_grid, reps=None, asy_order=12,
-                  controls=None, tol=mpf("1e-12")):
+                  controls=None, tol="1e-12"):
     """Assemble the per-direction matrix of normalized cycle integrals.
 
     Entry ((j,k), omega) is
@@ -686,8 +638,8 @@ def _solve_least_squares(design, rhs):
     return [sol[i] for i in range(k)]
 
 
-def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
-                  cond_cap=mpf("1e12")):
+def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol="1e-6",
+                  cond_cap="1e12"):
     """Fit the sector-to-sector transition over the exponential dictionary.
 
     The two sectorial matrices must share their z grid (the overlap
@@ -703,6 +655,7 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol=mpf("1e-6"),
     the fit needs at least as many kept points as the dictionary has
     terms, and at least two.
     """
+    residual_tol, cond_cap = mpf(residual_tol), mpf(cond_cap)
     grid = [to_mpc(z) for z in xi_a.z_grid]
     if len(grid) != len(xi_b.z_grid) or any(
             abs(a - to_mpc(b)) > mpf("1e-30") for a, b in zip(grid, xi_b.z_grid)):
@@ -795,8 +748,8 @@ class ComparisonReport:
     tolerance: object
 
 
-def comparison_check(one_form, crit, d, z_grid, reps=None, tol=mpf("1e-6"),
-                     asy_order=24, quad_tol=mpf("1e-12"), controls=None):
+def comparison_check(one_form, crit, d, z_grid, reps=None, tol="1e-6",
+                     asy_order=24, quad_tol="1e-12", controls=None):
     """Route the diagram both ways and report the worst discrepancy.
 
     Left-bottom: the raw thimble-cycle integral of exp(-f/z) omega
@@ -806,7 +759,7 @@ def comparison_check(one_form, crit, d, z_grid, reps=None, tol=mpf("1e-6"),
     Laplace resummation).  The two pipelines share no code path, so
     agreement validates both.
     """
-    d = mpf(d)
+    d, tol, quad_tol = mpf(d), mpf(tol), mpf(quad_tol)
     if reps is None:
         reps = default_representatives(one_form)
     sm = sector_matrix(one_form, crit, d, z_grid, reps, asy_order=asy_order,
@@ -840,8 +793,8 @@ class DigammaReport:
     passed: bool
 
 
-def digamma_connection_check(lam, d, z_grid, entry_fn, rel_tol=mpf("1e-5"),
-                             fd_step=mpf("1e-6"), branch="primary"):
+def digamma_connection_check(lam, d, z_grid, entry_fn, rel_tol="1e-5",
+                             fd_step="1e-6", branch="primary"):
     """Finite-difference log-derivative of a sampled entry vs digamma.
 
     For the one-zero family with parameter lam, the sampled entry E
@@ -852,6 +805,7 @@ def digamma_connection_check(lam, d, z_grid, entry_fn, rel_tol=mpf("1e-5"),
     difference limits the attainable accuracy.
     """
     lam = to_mpc(lam)
+    rel_tol, fd_step = mpf(rel_tol), mpf(fd_step)
     c = lam - lam * mpmath.log(lam)
     worst = mpf(0)
     for z in z_grid:

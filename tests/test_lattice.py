@@ -156,6 +156,16 @@ class TestDeduplication:
         assert out == exact_directions(critical_differences(c_set, Lattice(()), 5), self.TOL)
         assert sum(a < mpf("1e-11") for a in out) == kept
 
+    def test_default_tolerance_at_the_working_precision(self):
+        # arguments 0 and 1e-12 - 1e-29: the default angle_tol is made at
+        # the precision of the call, so it keeps them as one direction
+        # as the explicit 256-bit tolerance does
+        c_set = [mpc(0), mpc(1), mpmath.exp(1j * (self.TOL - mpf("1e-29")))]
+        default = lattice.nongeneric_directions(c_set, Lattice(()), 5)
+        assert default == lattice.nongeneric_directions(c_set, Lattice(()), 5,
+                                                        angle_tol=mpf("1e-12"))
+        assert sum(a < mpf("1e-11") for a in default) == 1
+
     def test_points_closer_than_the_tolerance_kept_once(self):
         # offsets of 4e-31 and 8e-31 around a cell edge at 1e-30 * 5
         eps = mpf("4e-31")

@@ -1,5 +1,5 @@
 import json
-from itertools import chain
+import math
 
 import pytest
 import mpmath
@@ -79,11 +79,33 @@ def rho_at(tol="1e-12"):
 
 
 def lay_traced(table):
-    """Lay chords over the samples of the ray's first trace."""
-    end = table.ray.n_traced - 1
+    """Lay chords over the samples of the ray's first trace; the table's
+    index of its last sample (the table puts the zero in front)."""
+    end = table.ray.n_traced
     while not table.chords or table.chords[-1][1] < end:
         assert table.lay()
     return end
+
+
+def covered(table):
+    """The samples the table's chords cover, the zero first."""
+    return [table.sample(i) for i in range(table.chords[-1][1] + 1)]
+
+
+def remainder():
+    """The n-point Gauss-Legendre remainder constant (n!)^4 / ((2n+1)
+    ((2n)!)^3) for exp(-f/z), n = stokes._CHORD_NODES."""
+    n = stokes._CHORD_NODES
+    return mpf(math.factorial(n) ** 4) / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+
+
+def widest_power_of_two(fits):
+    """The largest power of two w with fits(w), w between 2^-20 and 2^20."""
+    w = mpf(2) ** 20
+    while not fits(w):
+        w /= 2
+        assert w >= mpf(2) ** -20
+    return w
 
 
 class TestNodeTable:
@@ -94,17 +116,16 @@ class TestNodeTable:
         for ray in (gamma_thimble.forward, gamma_thimble.backward):
             table = stokes._RayTable(ray, mpf(1) / 16, rho_at())
             lay_traced(table)
-            covered = ray.samples[:table.chords[-1][1] + 1]
-            f_max = max(abs(f) for _, _, f in covered)
+            f_max = max(abs(f) for _, _, f in covered(table))
             assert table.drift <= bound * max(1, f_max)
 
     def test_chords_span_several_samples(self, gamma_form, gamma_crit):
-        # on a far ray, chords merge the short steps out of the zero but
-        # keep each chunk's bounds at every sample past the first
-        # interval: at most df_max of f, every pole of the chart outside
-        # the Bernstein ellipse of the chord so far, and inside the
-        # pole-free disk around the chord's first sample; the first
-        # interval, a tracer step, lies inside that disk too
+        # on a far ray, chords merge the short steps out of the zero, the
+        # first starting at the zero itself, but keep each chunk's bounds
+        # at every sample past the first interval: at most df_max of f,
+        # every pole of the chart outside the Bernstein ellipse of the
+        # chord so far, and inside the pole-free disk around the chord's
+        # first sample; the first interval lies inside that disk too
         ray = fresh_ray(gamma_form, gamma_crit, 0, mp.pi - mpf("0.2"))
         df_max = mpf(1) / 4
         rho = rho_at()
@@ -112,7 +133,7 @@ class TestNodeTable:
         table = stokes._RayTable(ray, df_max, rho)
         traced_end = lay_traced(table)
         # the samples the chords cover; the last chord may grow the ray
-        samples = ray.samples[:table.chords[-1][1] + 1]
+        samples = covered(table)
         switch = ray._switch_radius
         assert table.chords[0][0] == 0
         assert table.chords[-1][1] >= traced_end
@@ -235,16 +256,18 @@ class TestNodeTable:
     def test_one_sequence_per_ray(self, gamma_form, gamma_crit, gamma_omega,
                                   monkeypatch):
         # the d = 0 backward ray ends in the simple pole at 0: two z with
-        # different chord spans and one tail panel width (1 in tau: the
-        # rates 1/|z| + 1 of z = 0.2 and 0.35 fall in one power of two)
-        # lay one seed gap each and share the pole tail, and omega is
-        # evaluated once per node laid over gaps, chords and tail
+        # different chord spans and one tail panel width (the rates
+        # 1/|z| + 1 of z = 0.2 and 0.3 fall in one power of two) lay one
+        # table of chords from the zero each and share the pole tail, and
+        # omega is evaluated once per node laid over chords and tail
         ray = fresh_ray(gamma_form, gamma_crit, 1)
         assert ray.terminal.pole_order == 1
-        tol, zs = mpf("1e-12"), (mpf("0.2"), mpf("0.35"))
+        tol, zs = mpf("1e-12"), (mpf("0.2"), mpf("0.3"))
         spans = [stokes._quantized_df(z, tol) for z in zs]
         assert len(set(spans)) == 2
-        rho, width = rho_at(), mpf(1)
+        widths = {stokes._quantized_df(1 / (1 / z + 1), tol) for z in zs}
+        assert len(widths) == 1
+        rho, width = rho_at(), widths.pop()
         calls = []
         plain = RationalForm.__call__
         alpha = (gamma_form.form, gamma_form.form.at_infinity())
@@ -263,58 +286,47 @@ class TestNodeTable:
         assert list(quad.tails) == [width]
         tail = quad.tails[width]
         parts = [quad.parts(span, rho, width) for span in spans]
-        gaps = [p[0] for p in parts]
-        assert gaps[0] is not gaps[1]
-        assert parts[0][2] is parts[1][2] is tail
+        tables = [p[0] for p in parts]
+        assert tables[0] is not tables[1]
+        assert all(table.chords[0][0] == 0 for table in tables)
+        assert parts[0][1] is parts[1][1] is tail
         assert tail.nodes
-        assert all(len(gap.nodes) == stokes._GAP_PANELS * stokes._GAP_NODES
-                   for gap in gaps)
-        laid = sum(len(part.nodes) for pair in quad.spans.values()
-                   for part in pair)
+        laid = sum(len(table.nodes) for table in quad.spans.values())
         assert len(calls) == laid + len(tail.nodes)
 
-    def test_gap_stays_in_the_seed_disk_and_the_span(self, gamma_form,
-                                                     gamma_crit, gamma_omega):
-        # every sample the gap covers lies within 2 step caps of the zero
-        # and within one span of c; the span's first chord starts where
-        # the gap ends; the next sample breaks one of the two bounds
+    def test_first_chord_starts_at_the_zero(self, gamma_form, gamma_crit,
+                                            gamma_omega):
+        # the first chord runs from the zero q, sample 0 of the table with
+        # f = c, and every sample it covers lies inside the pole-free
+        # disk around q, so it integrates the same as the traced path
+        # (Cauchy); the integrand is analytic at q, which bounds nothing
         q = gamma_form.zeros[0].location
         c = gamma_crit.values[0]
         tol = mpf("1e-12")
         for ell in (0, 1):
             ray = fresh_ray(gamma_form, gamma_crit, ell)
-            radius = 2 * ray._step_cap("affine", q)
+            radius = min(abs(p - q) for p in stokes._chart_poles(ray, "affine"))
             for z in (mpf("0.02"), mpf("0.1"), mpf("0.45")):
                 span = stokes._quantized_df(z, tol)
                 stokes.ray_integral(ray, gamma_omega, z, tol)
-                gap, table = ray.quadrature.parts(span, rho_at(tol))
-                assert gap.end > 0
-                for _, x, f in ray.samples[:gap.end + 1]:
-                    assert abs(x - q) <= radius
+                table = ray.quadrature.parts(span, rho_at(tol))[0]
+                assert table.sample(0) == (0, q, c)
+                assert table.sample(1) == ray.samples[0]
+                start, end = table.chords[0]
+                assert start == 0 and end > 1
+                for i in range(1, end + 1):
+                    _, x, f = table.sample(i)
+                    assert abs(x - q) < radius
                     assert abs(f - c) <= span
-                _, x, f = ray.samples[gap.end + 1]
-                assert abs(x - q) > radius or abs(f - c) > span
-                assert table.chords[0][0] == gap.end
+                # the chord's first node lies between q and the seed
+                first = table.nodes[0][0]
+                assert abs(first - q) < abs(table.sample(1)[1] - q)
 
-    def test_gap_end_is_fixed_by_the_first_trace(self, gamma_form, gamma_crit,
-                                                 gamma_omega):
-        # a sum that grows the ray past its first trace leaves the gap
-        # end of every span where a fresh ray puts it
-        tol = mpf("1e-12")
-        spans = [stokes._quantized_df(z, tol) for z in (mpf("0.1"), mpf("0.5"))]
-        ray = fresh_ray(gamma_form, gamma_crit,
-                        controls=TraceControls(flow_reach=10))
-        before = [stokes._gap_end(ray, span) for span in spans]
-        traced = len(ray.samples)
-        stokes.ray_integral(ray, gamma_omega, mpf("0.5"), tol)
-        assert len(ray.samples) > traced
-        assert [stokes._gap_end(ray, span) for span in spans] == before
-        assert ray.quadrature.parts(spans[1], rho_at(tol))[0].end == before[1]
-
-    def test_gap_ended_by_the_f_bound(self):
+    def test_first_chord_ended_by_the_span(self):
         # 30 (x - 1)/x dx: f = 30 (x - log x) rises 30 times faster than on
-        # the Gamma form, so the span, not the seed disk, ends the gap;
-        # the d = 0 thimble integral of dx/x is Gamma(30/z) (z/30)^(30/z)
+        # the Gamma form, so the span, not the pole-free disk, ends the
+        # first chord; the d = 0 thimble integral of dx/x is
+        # Gamma(30/z) (z/30)^(30/z)
         form = derham.analyze([-30, 30], [0, 1])
         lat = derham.period_lattice(form)
         crit = derham.critical_values(form, 1, [[1]], lat=lat, offset=30)
@@ -322,17 +334,17 @@ class TestNodeTable:
         q, c = form.zeros[0].location, crit.values[0]
         path = betti.trace_thimble(form, crit, 0, 0, 0)
         tol = mpf("1e-14")
-        for z in (mpf("0.5"), mpf("0.2")):
+        for z in (mpf("0.5"), mpf("0.2"), mpf("0.1")):
             val = stokes.exp_integral(path, omega, crit, z, tol)
             s = 30 / z
             ref = mpmath.gamma(s) / s ** s
             assert abs(val - ref) <= mpf("1e-20") * abs(ref)
-        span = stokes._quantized_df(mpf("0.2"), tol)
+        span = stokes._quantized_df(mpf("0.1"), tol)
         for ray in (path.forward, path.backward):
-            radius = 2 * ray._step_cap("affine", q)
-            end = ray.quadrature.parts(span, rho_at(tol))[0].end
-            _, x, f = ray.samples[end + 1]
-            assert abs(x - q) <= radius
+            table = ray.quadrature.parts(span, rho_at(tol))[0]
+            end = table.chords[0][1]
+            _, x, f = table.sample(end + 1)
+            assert abs(x - q) < abs(q)
             assert abs(f - c) > span
 
     def test_gamma_form_far_from_the_origin(self):
@@ -353,8 +365,8 @@ class TestNodeTable:
 
     def test_cold_thimble_omega_count(self, gamma_form, gamma_crit,
                                       gamma_omega, monkeypatch):
-        # one z on a cold d = 0 Gamma thimble: the gap out to the edge of
-        # the seed disk replaces the short chords next to the zero
+        # one z on a cold d = 0 Gamma thimble: the first chord runs from
+        # the zero over the short steps next to it
         monkeypatch.setattr(betti._traced_ray, "cache", {})
         path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
         calls = []
@@ -373,20 +385,22 @@ class TestNodeTable:
         assert len(calls) <= 600
 
     def test_span_from_the_tolerance(self):
-        # the largest power of two whose 12-point Gauss remainder for
-        # exp(-f/z), 8.8e-39 (L/|z|)^24, stays at most 1e-6 tol
-        assert stokes._quantized_df(mpf("0.3"), mpf("1e-14")) == 1
-        for z_abs, tol in ((mpf("0.07"), mpf("1e-10")), (mpf("0.45"), mpf("1e-16")),
-                           (mpf(1), mpf("1e-30"))):
+        # the largest power of two whose n-point Gauss remainder for
+        # exp(-f/z), (n!)^4 / ((2n+1) ((2n)!)^3) (L/|z|)^(2n), stays at
+        # most 1e-6 tol
+        n, rem = stokes._CHORD_NODES, remainder()
+        assert abs(stokes._REMAINDER - rem) <= mpf("1e-12") * rem
+        for z_abs, tol in ((mpf("0.3"), mpf("1e-14")), (mpf("0.07"), mpf("1e-10")),
+                           (mpf("0.45"), mpf("1e-16")), (mpf(1), mpf("1e-30"))):
             span = stokes._quantized_df(z_abs, tol)
-            assert mpf("8.8e-39") * (span / z_abs) ** 24 <= mpf("1e-6") * tol
-            assert mpf("8.8e-39") * (2 * span / z_abs) ** 24 > mpf("1e-6") * tol
+            assert span == widest_power_of_two(
+                lambda w: rem * (w / z_abs) ** (2 * n) <= mpf("1e-6") * tol)
 
     def test_frontier_sum_is_call_order_free(self, gamma_form, gamma_crit,
                                              gamma_omega):
         # z = 0.1 on the d = 0 forward ray, alone and after z = 0.45 has
         # laid the same span's chords further along; then against the
-        # same gap and chords laid over the whole first trace
+        # same chords from the zero laid over the whole first trace
         tol, z = mpf("1e-12"), mpf("0.1")
         span = stokes._quantized_df(z, tol)
         alone, after, full = (fresh_ray(gamma_form, gamma_crit)
@@ -394,17 +408,16 @@ class TestNodeTable:
         stokes.ray_integral(after, gamma_omega, mpf("0.45"), tol, span)
         value = stokes.ray_integral(alone, gamma_omega, z, tol, span)
         assert stokes.ray_integral(after, gamma_omega, z, tol, span) == value
-        laid = [ray.quadrature.parts(span, rho_at(tol))[1]
+        laid = [ray.quadrature.parts(span, rho_at(tol))[0]
                 for ray in (alone, after)]
         assert len(laid[1].nodes) > len(laid[0].nodes)
-        gap, table = stokes._RayQuadrature.of(full).parts(span, rho_at(tol))
+        assert laid[0].chords[0][0] == 0
+        table, = stokes._RayQuadrature.of(full).parts(span, rho_at(tol))
         traced_end = lay_traced(table)
         assert len(table.nodes) > len(laid[1].nodes)
-        assert traced_end + 1 == len(alone.samples) == len(after.samples)
+        assert traced_end == len(alone.samples) == len(after.samples)
         _, stop_decay = stokes._cutoffs(full, z, tol)
-        assert stokes._exp_sum(chain(gap.terms(gamma_omega),
-                                     table.terms(gamma_omega)),
-                               z, stop_decay)[0] == value
+        assert stokes._exp_sum(table.terms(gamma_omega), z, stop_decay)[0] == value
 
     def test_frontier_stops_at_the_decay_cutoff(self, gamma_form, gamma_crit,
                                                 gamma_omega, monkeypatch):
@@ -425,9 +438,9 @@ class TestNodeTable:
         stokes._exp_sum(table.terms(gamma_omega), z, stop_decay)
         monkeypatch.setattr(RationalForm, "__call__", plain)
         assert len(calls) == len(table.nodes)
-        starts = [mpmath.re(ray.samples[start][2] / z) for start, _ in table.chords]
+        starts = [mpmath.re(table.sample(start)[2] / z) for start, _ in table.chords]
         assert all(s <= stop_decay for s in starts[:-1])
-        assert table.chords[-1][1] < len(ray.samples) - 1
+        assert table.chords[-1][1] < len(ray.samples)
 
     def test_thimble_side_never_builds_the_series(self, gamma_form, gamma_crit,
                                                   gamma_omega, monkeypatch):
@@ -468,24 +481,30 @@ class TestNodeTable:
 
 class TestRemainderBudget:
     """Chords, their Bernstein ellipses and the pole-tail panels are sized
-    by one 12-point remainder budget, 1e-6 tol: the integrals meet tol
-    against closed forms from loose to tight tolerances."""
+    by one n-point remainder budget, 1e-6 tol, n = stokes._CHORD_NODES:
+    the integrals meet tol against closed forms from loose to tight
+    tolerances."""
 
-    tols = (mpf("1e-10"), mpf("1e-14"), mpf("1e-30"))
+    tols = (mpf("1e-10"), mpf("1e-14"), mpf("1e-20"), mpf("1e-30"))
 
     def test_gamma_thimble_across_the_stokes_ray(self, gamma_form, gamma_crit,
                                                  gamma_omega):
         # d = 0 (the backward ray runs straight into the simple pole at
         # 0) and d = pi/2 + 0.2 (the backward ray circles that pole),
-        # traced at rk_tol 1e-8 as perfbench's gamma-crossing does; past
-        # the Stokes ray pi/2 the thimble integral picks up the factor
-        # 1 - exp(-2 pi i/z)
+        # traced at rk_tol 1e-8 as perfbench's gamma-crossing does; then
+        # acceptance criterion 3's d = 0 and d = pi - 0.2 at its smallest
+        # and largest z on the ray pi/2 - 0.1, 1.47 from both, where the
+        # sums read far along each ray.  Past the Stokes ray pi/2 the
+        # thimble integral picks up the factor 1 - exp(-2 pi i/z)
         controls = TraceControls(rk_tol=mpf("1e-8"))
+        unit = mpmath.exp(1j * (mp.pi / 2 - mpf("0.1")))
         cases = [(mpf(0), False,
                   [mpf("0.15"), mpf("0.4") * mpmath.exp(1j * mpf("0.6"))]),
                  (mp.pi / 2 + mpf("0.2"), True,
                   [mpf("0.3") * mpmath.exp(1j * mpf("0.9")),
-                   mpf("0.5") * mpmath.exp(1j * mpf("1.3"))])]
+                   mpf("0.5") * mpmath.exp(1j * mpf("1.3"))]),
+                 (mpf(0), False, [mpf("0.3") * unit, mpf("0.45") * unit]),
+                 (mp.pi - mpf("0.2"), True, [mpf("0.3") * unit, mpf("0.45") * unit])]
         for d, crossed, zs in cases:
             path = betti.trace_thimble(gamma_form, gamma_crit, 0, 0, d, controls)
             for z in zs:
@@ -511,31 +530,64 @@ class TestRemainderBudget:
                 assert abs(val - ref) <= tol / 10 * abs(ref)
 
     def test_chord_bounds_count_guard(self, gamma_form, gamma_crit):
-        # the d = 0 thimble over its first trace at span 8 and tol 1e-6
-        # (rho = 4): without the ellipse the backward ray's chords would
-        # run into the pole at 0 (12 nodes, not 36), and without the
-        # pole-free disk the forward ray would lay 192 nodes, not 204
+        # the d = 0 thimble over its first trace at span 8 and tol 1e-6, in
+        # chunks of n nodes: without the ellipse the backward ray's chords
+        # would run into the pole at 0 (1 chunk, not 2), and without the
+        # pole-free disk the forward ray would lay 15 chunks, not 17
+        n = stokes._CHORD_NODES
         rho = rho_at("1e-6")
-        assert rho == 4
+        assert 1 / rho == widest_power_of_two(lambda w: w ** (2 * n) <= mpf("1e-12"))
         laid = []
         for ell in (0, 1):
             table = stokes._RayTable(fresh_ray(gamma_form, gamma_crit, ell), 8, rho)
             lay_traced(table)
             laid.append(len(table.nodes))
-        assert laid == [204, 36]
+        assert laid == [17 * n, 2 * n]
 
     def test_tail_panels_from_the_budget(self, gamma_form, gamma_crit,
                                          gamma_omega):
         # the d = 0 backward tail at z = 0.3: rate |res/z| + |n_om - 1| + 1
-        # = 13/3 for omega = dx/x, so panels of 1 in tau at tol 1e-12
-        # (6.8/(13/3) = 1.6) and 1/4 at tol 1e-30 (1.22/(13/3) = 0.28)
+        # = 13/3 for omega = dx/x, so panels of the widest power of two in
+        # tau whose remainder at that rate meets the budget, one width per
+        # tolerance; the ellipse parameter is the smallest power of two
+        # whose rho^-2n meets it
+        n, rem = stokes._CHORD_NODES, remainder()
         ray = fresh_ray(gamma_form, gamma_crit, 1)
-        z = mpf("0.3")
-        for tol, width in ((mpf("1e-12"), 1), (mpf("1e-30"), mpf(1) / 4)):
+        z, rate = mpf("0.3"), mpf(13) / 3
+        widths = []
+        for tol in (mpf("1e-12"), mpf("1e-30")):
+            budget = mpf("1e-6") * tol
+            width = widest_power_of_two(lambda w: rem * (w * rate) ** (2 * n) <= budget)
             stokes.ray_integral(ray, gamma_omega, z, tol)
             assert width in ray.quadrature.tails
-        assert stokes._bernstein_rho(mpf("1e-12")) == 8
-        assert stokes._bernstein_rho(mpf("1e-30")) == 32
+            widths.append(width)
+            inverse_rho = widest_power_of_two(lambda w: w ** (2 * n) <= budget)
+            assert stokes._bernstein_rho(tol) == 1 / inverse_rho
+        assert widths[0] > widths[1]
+
+    def test_criterion_3_reads_few_nodes(self, gamma_form, gamma_crit,
+                                         monkeypatch):
+        # acceptance criterion 3's plus-side pair of sectorial matrices
+        # reads 19,951 nodes over all its sums; the 12-point chords after
+        # a seed gap read 56,918
+        monkeypatch.setattr(betti._traced_ray, "cache", {})
+        read = []
+        plain = stokes._exp_sum
+
+        def counting(terms, z, stop_decay):
+            def each():
+                for term in terms:
+                    read.append(None)
+                    yield term
+            return plain(each(), z, stop_decay)
+
+        monkeypatch.setattr(stokes, "_exp_sum", counting)
+        unit = mpmath.exp(1j * (mp.pi / 2 - mpf("0.1")))
+        grid = [mpf(r) * unit for r in ("0.3", "0.33", "0.36", "0.39", "0.42", "0.45")]
+        for d in (0, mp.pi - mpf("0.2")):
+            stokes.sector_matrix(gamma_form, gamma_crit, d, grid, asy_order=4,
+                                 tol=mpf("1e-14"))
+        assert len(read) <= 56918 // 2
 
 
 class TestCallOrder:
