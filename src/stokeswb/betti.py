@@ -91,14 +91,14 @@ def local_normalizer(m, k, z, d=0):
     return (1 - mpmath.exp(2j * mp.pi * ratio)) * power * mpmath.gamma(ratio) / (m + 1)
 
 
-def local_ray_integral(m, ell, kprime, z, d=0, tol=mpf("1e-24")):
+def local_ray_integral(m, ell, kprime, z, d=0, tol="1e-24"):
     """Quadrature of exp(-u^(m+1)/((m+1) z)) u^k' du over one outgoing ray."""
     z, d = to_mpc(z), mpf(d)
     phi = (2 * mp.pi * ell + d) / (m + 1)
     rate = mpmath.cos(d - mpmath.arg(z)) / abs(z)
     if rate <= 0:
         raise ValueError("z outside the admissible half-plane")
-    t_max = ((m + 1) * mpmath.log(1 / tol) / rate) ** (mpf(1) / (m + 1))
+    t_max = ((m + 1) * mpmath.log(1 / mpf(tol)) / rate) ** (mpf(1) / (m + 1))
     phase = mpmath.exp(1j * (kprime + 1) * phi)
     expo = mpmath.exp(1j * d) / ((m + 1) * z)
 
@@ -117,7 +117,7 @@ def local_ray_integral(m, ell, kprime, z, d=0, tol=mpf("1e-24")):
     return phase * total
 
 
-def local_cycle_integral(cycle, m, kprime, z, tol=mpf("1e-24")):
+def local_cycle_integral(cycle, m, kprime, z, tol="1e-24"):
     """Pairing of a local model cycle with u^k' du by quadrature.
 
     Each member path c_l contributes its outgoing ray l minus the
@@ -185,10 +185,10 @@ class TraceControls:
     flow_reach: object = mpf(80)
 
 
-_SEED_SCALE = mpf("1e-6")       # |f - c| at the seed / reference scale
+_SEED_SCALE = "1e-6"            # |f - c| at the seed / reference scale
 _CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
 _SADDLE_TOL = 1e-7              # approach tolerance at foreign zeros
-_SPIRAL_TOL = mpf("1e-8")       # straight-vs-spiral test at simple poles
+_SPIRAL_TOL = "1e-8"            # straight-vs-spiral test at simple poles
 _MAX_STEPS = 200000             # steps tried on a ray, growth included
 _SEED_NEWTON_STEPS = 40         # Newton steps placing the seed
 _CORRECTOR_STEPS = 8            # Newton steps placing a sample at step h
@@ -312,7 +312,7 @@ class ThimbleRay:
         root = derham._laurent_series(self._form_aff, q, order_hint=m)[1][m] \
             ** (mpf(1) / (m + 1))
         scale = self._reference_scale()
-        u_mag = ((m + 1) * _SEED_SCALE * scale) ** (mpf(1) / (m + 1))
+        u_mag = ((m + 1) * mpf(_SEED_SCALE) * scale) ** (mpf(1) / (m + 1))
         # the primitive's increments from q hold within the step cap
         cap = self._step_cap("affine", q)
         u_mag = min(u_mag, cap * abs(root))
@@ -484,7 +484,7 @@ class ThimbleRay:
                 if not inbound:
                     continue
                 ratio = self._unit / pole.residue
-                spiral = abs(mpmath.im(ratio)) > _SPIRAL_TOL * abs(ratio)
+                spiral = abs(mpmath.im(ratio)) > mpf(_SPIRAL_TOL) * abs(ratio)
                 return RayTerminal(idx, 1, "spiral" if spiral else "straight",
                                    mpmath.arg(x_tilde), x_aff, f, in_boundary=True)
             return RayTerminal(idx, pole.order, "irregular",

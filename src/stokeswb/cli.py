@@ -132,19 +132,13 @@ def _parse_grid(spec, opening=True):
     return r_min, r_max, n_r, n_a, opening
 
 
-def _grid_points(d, spec):
-    r_min, r_max, n_r, n_a, opening = _parse_grid(spec)
+def _grid_points(d, r_min, r_max, n_r, n_a, opening):
+    """Log-spaced radii times angles spread evenly over d +- opening."""
     points = []
     for i in range(n_r):
-        if n_r == 1:
-            r = r_min
-        else:
-            r = r_min * (r_max / r_min) ** (mpf(i) / (n_r - 1))
+        r = r_min if n_r == 1 else r_min * (r_max / r_min) ** (mpf(i) / (n_r - 1))
         for j in range(n_a):
-            if n_a == 1:
-                a = mpf(0)
-            else:
-                a = -opening + 2 * opening * mpf(j) / (n_a - 1)
+            a = mpf(0) if n_a == 1 else -opening + 2 * opening * mpf(j) / (n_a - 1)
             points.append(r * mpmath.exp(1j * (mpf(d) + a)))
     return points
 
@@ -215,7 +209,7 @@ def cmd_sum(args):
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
         raise MalformedInput(f"bad series file: {err}")
     d = _real(args.direction, "--direction")
-    grid = _grid_points(d, args.grid)
+    grid = _grid_points(d, *_parse_grid(args.grid))
     sampled = summation.borel_sum(series, d, grid,
                                   tail_cut=_real(args.tolerance, "--tolerance"))
     out = args.out or "samples.csv"
@@ -274,19 +268,14 @@ def cmd_stokes(args):
     hi = min(d1 + mp.pi / 2, d2 + mp.pi / 2)
     if not hi > lo:
         return _fail(EXIT_USAGE, "directions do not share a half-plane overlap")
-    mid = (lo + hi) / 2
-    width = (hi - lo) / 2
     r_min, r_max, n_r, n_a, _ = _parse_grid(args.grid, opening=False)
     terms = len(stokes.fit_dictionary(lat, args.basis_bound))
     if n_r * n_a < terms:
         raise MalformedInput(f"--grid {args.grid} has {n_r * n_a} points; the fit "
                              f"at --basis-bound {args.basis_bound} needs {terms}")
-    grid = []
-    for i in range(n_r):
-        r = r_min if n_r == 1 else r_min * (r_max / r_min) ** (mpf(i) / (n_r - 1))
-        for j in range(n_a):
-            a = mid if n_a == 1 else mid + width * (mpf(2 * j) / (n_a - 1) - 1) * mpf("0.8")
-            grid.append(r * mpmath.exp(1j * a))
+    # angles within 0.8 of the half-width of the overlap, round its middle
+    grid = _grid_points((lo + hi) / 2, r_min, r_max, n_r, n_a,
+                        (hi - lo) / 2 * mpf("0.8"))
     tol = _real(args.tolerance, "--tolerance")
     xa = stokes.sector_matrix(one_form, crit, d1, grid, tol=tol)
     xb = stokes.sector_matrix(one_form, crit, d2, grid, tol=tol)

@@ -9,7 +9,7 @@ the deformation parameter z.
 
 import functools
 import inspect
-import itertools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -534,72 +534,92 @@ class Primitive:
 # period lattice
 # ---------------------------------------------------------------------------
 
-def _integer_relations(periods, search_bound=12,
-                       strict_tol=mpf("1e-40"), loose_tol=mpf("1e-25")):
-    """Small integer relations sum a_i p_i = 0 among complex periods.
-
-    Relations inside the strict tolerance are accepted; relations seen
-    only between the strict and loose tolerances are ambiguous at
-    working precision and reported rather than imposed.
-    """
-    k = len(periods)
-    scale = max([abs(p) for p in periods] + [mpf(1)])
-    relations = []
-    ambiguous = []
-    if k == 0:
-        return relations
-    for combo in itertools.product(range(-search_bound, search_bound + 1), repeat=k):
-        if all(c == 0 for c in combo):
-            continue
-        nz = [c for c in combo if c != 0]
-        # primitive, first nonzero positive: avoids duplicates up to sign/scaling
-        from math import gcd
-        g = 0
-        for c in nz:
-            g = gcd(g, abs(c))
-        if g != 1 or nz[0] < 0:
-            continue
-        val = abs(sum((c * p for c, p in zip(combo, periods)), mpc(0)))
-        if val <= strict_tol * scale:
-            relations.append(tuple(combo))
-        elif val <= loose_tol * scale:
-            ambiguous.append(tuple(combo))
-    if ambiguous and not relations:
-        # conservative choice: keep the full basis and let the support
-        # check downstream fail loudly if the near-relation is real
-        import warnings
-        warnings.warn(f"relations {ambiguous} detected only at marginal "
-                      f"tolerance; no relation imposed",
-                      RelationDetectionAmbiguous)
-    return relations
+# Tolerances relative to the largest period (at least 1), made mpf at call
+# time: a remainder up to _STRICT_TOL is an integer relation, one up to
+# _LOOSE_TOL a relation only at marginal precision.  Refining below
+# 1/_FINEST of the shortest period means dense periods: that still finds
+# relations with coefficients up to about _FINEST, far more than residues
+# of a form of moderate degree carry, and as each refinement shortens a
+# vector or halves a cell, dense periods fail within 2 log2(_FINEST) or so.
+_STRICT_TOL, _LOOSE_TOL, _FINEST = "1e-40", "1e-25", 1000
 
 
-def _reduce_by_relation(generators, relation):
-    """Unimodular change making `relation` a coordinate, then drop it.
+def _cross(u, v):
+    """Signed area of the cell spanned by u and v."""
+    return mpmath.im(mpmath.conj(u) * v)
 
-    `generators` is a list of complex periods; returns the new list with
-    one fewer generator spanning the same subgroup of C.
-    """
-    gens = list(generators)
-    rel = list(relation)
-    # Euclidean column operations shrink the relation to a single +-1
-    # entry; the paired generator updates are unimodular, so the
-    # subgroup is preserved and the flagged generator becomes zero.
+
+def _coords(basis, c):
+    """Real coordinates of c in a basis of at most two R-independent vectors."""
+    if len(basis) < 2:
+        return [mpmath.re(c * mpmath.conj(b)) / abs(b) ** 2 for b in basis]
+    det = _cross(*basis)
+    return [_cross(c, basis[1]) / det, _cross(basis[0], c) / det]
+
+
+def _gauss_reduced(basis):
+    """Lagrange-Gauss reduction of at most two vectors, shortest first."""
+    if len(basis) < 2:
+        return basis
+    u, v = sorted(basis, key=abs)
     while True:
-        nz = [i for i, c in enumerate(rel) if c != 0]
-        if len(nz) <= 1:
-            break
-        i, j = nz[0], nz[1]
-        if abs(rel[i]) > abs(rel[j]):
-            i, j = j, i
-        q = rel[j] // rel[i]
-        rel[j] -= q * rel[i]
-        # column operation on generators preserving the lattice
-        gens[i] += q * gens[j]
-    keep = [i for i, c in enumerate(rel) if c == 0]
-    drop = [i for i, c in enumerate(rel) if c != 0]
-    assert len(drop) == 1 and abs(rel[drop[0]]) == 1
-    return [gens[i] for i in keep]
+        v -= mpmath.nint(_coords([u], v)[0]) * u
+        if abs(v) >= abs(u):
+            return [u, v]
+        u, v = v, u
+
+
+def _period_basis(periods):
+    """Reduced basis of the subgroup of C that `periods` generate.
+
+    Each period, and each vector a refinement displaces, is reduced by
+    the basis point at its rounded real coordinates.  A zero remainder
+    is an integer relation.  A remainder off the line of a one-vector
+    basis joins it; on the line it is a step of Euclid's algorithm.
+    Against two vectors it replaces the one with which it spans the
+    smaller nonzero cell, at most half the old one.  The basis is kept
+    Lagrange-Gauss reduced: the rank-2 case of Lenstra-Lenstra-Lovasz.
+    Periods refining past 1/_FINEST of the shortest one are dense, in C
+    or on a line, and raise DegenerateLattice; so does a remainder, or a
+    distance to a line, zero only at marginal tolerance, after a warning.
+    """
+    scale = max([abs(p) for p in periods] + [mpf(1)])
+    strict, loose = mpf(_STRICT_TOL) * scale, mpf(_LOOSE_TOL) * scale
+
+    def vanishes(size):
+        if strict < size <= loose:
+            warnings.warn("periods related only at marginal tolerance; "
+                          "no relation imposed", RelationDetectionAmbiguous)
+            raise DegenerateLattice(f"near-relation among periods at "
+                                    f"{mpmath.nstr(size / scale, 3)} relative")
+        return size <= strict
+
+    def cell(r, b):     # the cell of r and b, zero if r is on the line of b
+        return mpf(0) if vanishes(abs(_cross(r, b)) / abs(b)) else abs(_cross(r, b))
+
+    finest = min([abs(p) for p in periods if abs(p) > strict], default=0) / _FINEST
+    basis, todo = [], periods[::-1]
+    while todo:
+        r = todo.pop()
+        r -= sum(mpmath.nint(t) * b for t, b in zip(_coords(basis, r), basis))
+        if vanishes(abs(r)):
+            continue
+        if not basis or len(basis) == 1 and cell(r, basis[0]):
+            basis = _gauss_reduced(basis + [r])     # first, or off the line
+        else:
+            # r replaces basis[j], leaving the smaller nonzero cell of r
+            # and the other vector; on a line, a step of Euclid
+            j = 0 if len(basis) == 1 else min(
+                (j for j in (0, 1) if cell(r, basis[1 - j])),
+                key=lambda j: cell(r, basis[1 - j]))
+            todo.append(basis[j])
+            basis[j] = r
+            basis = _gauss_reduced(basis)
+            if abs(basis[0]) < finest:
+                raise DegenerateLattice(
+                    "periods dense in C or on a line: no subgroup of C of "
+                    "rank > 2, or of a line of rank > 1, is discrete")
+    return basis
 
 
 def period_lattice(one_form, weights=None):
@@ -607,27 +627,16 @@ def period_lattice(one_form, weights=None):
 
     On genus zero, loops around finite poles generate the homology of
     the punctured line; when infinity is not a pole the residues sum to
-    zero and one loop is dependent.  Zero periods are discarded and
-    small-integer relations are reduced away, so the lattice embeds into
-    C by its period map.
+    zero and one loop is dependent.  The generators are a reduced basis
+    of the subgroup of C the periods generate (`_period_basis`), so the
+    lattice embeds into C by its period map.
     """
     finite = [p for p in one_form.poles if p.location != INF]
     has_inf_pole = any(p.location == INF for p in one_form.poles)
     periods = [2j * mp.pi * p.residue for p in finite]
     if not has_inf_pole and periods:
         periods = periods[:-1]  # residue theorem: last loop is minus the others
-    scale = max([abs(p) for p in periods] + [mpf(1)])
-    periods = [p for p in periods if abs(p) > mpf("1e-35") * scale]
-    relations = _integer_relations(periods) if len(periods) >= 2 else []
-    while relations:
-        periods = _reduce_by_relation(periods, relations[0])
-        relations = _integer_relations(periods) if len(periods) >= 2 else []
-    if len(periods) > 2:
-        # checked before the support radius, whose search grows like 49^rank
-        raise DegenerateLattice(
-            f"{len(periods)} periods independent over Z: no subgroup of C "
-            f"of rank > 2 is discrete")
-    lat = Lattice(tuple(periods), weights)
+    lat = Lattice(tuple(_period_basis(periods)), weights)
     if lat.rank:
         rep = support_radius(lat)  # raises DegenerateLattice on exact failure
         period_scale = max(abs(m) for m in lat.mu)
@@ -657,7 +666,7 @@ def _segment_integral(form, a, b, tol=None):
     return adaptive_gauss(lambda x: form(x), a, b, tol)
 
 
-def path_integral(form, waypoints, poles=None, guard=mpf("1e-8")):
+def path_integral(form, waypoints, poles=None, guard="1e-8"):
     """Integral of the form along a polyline, guarding against poles."""
     total = mpc(0)
     pts = [to_mpc(w) for w in waypoints]
@@ -668,7 +677,7 @@ def path_integral(form, waypoints, poles=None, guard=mpf("1e-8")):
                 ab = b - a
                 t = mpmath.re((p - a) * mpmath.conj(ab)) / max(abs(ab) ** 2, mpf("1e-60"))
                 t = min(max(t, mpf(0)), mpf(1))
-                if abs(a + t * ab - p) < guard:
+                if abs(a + t * ab - p) < mpf(guard):
                     raise PathThroughPole(f"segment [{a}, {b}] passes near pole {p}")
         total += _segment_integral(form, a, b)
     return total
@@ -682,21 +691,11 @@ def reduce_mod_lattice(c, lat):
     so at most two generators can be R-independent.
     """
     c = to_mpc(c)
-    if lat.rank == 0:
-        return c
-    if lat.rank == 1:
-        mu = lat.mu[0]
-        t = mpmath.re(c * mpmath.conj(mu)) / abs(mu) ** 2
-        return c - mpmath.floor(t) * mu
-    if lat.rank == 2:
-        m1, m2 = lat.mu
-        det = mpmath.re(m1) * mpmath.im(m2) - mpmath.im(m1) * mpmath.re(m2)
-        if abs(det) < mpf("1e-30") * abs(m1) * abs(m2):
-            raise ValueError("rank-2 lattice with R-dependent periods")
-        a = (mpmath.re(c) * mpmath.im(m2) - mpmath.im(c) * mpmath.re(m2)) / det
-        b = (mpmath.re(m1) * mpmath.im(c) - mpmath.im(m1) * mpmath.re(c)) / det
-        return c - mpmath.floor(a) * m1 - mpmath.floor(b) * m2
-    raise ValueError("support property forbids lattices of rank > 2 in C")
+    if lat.rank > 2:
+        raise ValueError("support property forbids lattices of rank > 2 in C")
+    if lat.rank == 2 and abs(_cross(*lat.mu)) < mpf("1e-30") * abs(lat.mu[0] * lat.mu[1]):
+        raise ValueError("rank-2 lattice with R-dependent periods")
+    return c - sum((mpmath.floor(t) * m for t, m in zip(_coords(lat.mu, c), lat.mu)), mpc(0))
 
 
 def critical_values(one_form, basepoint, branch_paths, lat=None, offset=0):
@@ -975,7 +974,7 @@ class StirlingReport:
     max_rel_error: object
 
 
-def stirling_check(lam, order, rel_tol=mpf("1e-12")):
+def stirling_check(lam, order, rel_tol="1e-12"):
     """Reduction pipeline vs the Bernoulli closed form for dlog x.
 
     Builds the form -(lam - x)/x dx, reduces dx/x at its zero, and
@@ -994,7 +993,7 @@ def stirling_check(lam, order, rel_tol=mpf("1e-12")):
         a, c = formal.coeffs[n], closed.coeffs[n]
         scale = max(abs(a), abs(c), mpf("1e-30"))
         worst = max(worst, abs(a - c) / scale)
-    return StirlingReport(worst <= rel_tol, formal, closed, worst)
+    return StirlingReport(worst <= mpf(rel_tol), formal, closed, worst)
 
 
 @dataclass(frozen=True)

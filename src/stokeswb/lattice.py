@@ -20,7 +20,7 @@ from mpmath import mp, mpf, mpc
 from .errors import DegenerateLattice, NotDecaying, NotLowering
 from .scalar import cplx_to_pair, pair_to_cplx, to_mpc, wrap_angle
 
-_ZERO_TOL = mpf("1e-40")
+_ZERO_TOL = "1e-40"
 # relative margin of the float screens ahead of the exact tests of a
 # norm or a modulus against its bound: only what passes the screen is
 # tested at working precision
@@ -106,15 +106,15 @@ def support_radius(lat, enum_bound=24):
     if lat.rank == 1:
         g = (1,)
         value = abs(lat.period(g)) / lat.norm(g)
-        if value <= _ZERO_TOL:
+        if value <= mpf(_ZERO_TOL):
             raise DegenerateLattice("generator has vanishing period")
         return SupportRadiusReport(value, False, g, True)
     best = None
     witness = None
-    scale = max(abs(m) for m in lat.mu) or mpf(1)
+    zero = mpf(_ZERO_TOL) * (max(abs(m) for m in lat.mu) or mpf(1))
     for gamma in lat.vectors_in_ball(enum_bound):
         p = abs(lat.period(gamma))
-        if p <= _ZERO_TOL * scale:
+        if p <= zero:
             raise DegenerateLattice(f"mu({gamma}) = 0: support property fails")
         ratio = p / lat.norm(gamma)
         if best is None or ratio < best:

@@ -40,7 +40,7 @@ def to_mpc(value):
     return mpc(value)
 
 
-def close(a, b, rel=None, abs_floor=mpf("1e-30")):
+def close(a, b, rel=None, abs_floor="1e-30"):
     """Relative comparison, absolute below `abs_floor` magnitude.
 
     Factorials and Gamma values span a huge dynamic range, so comparisons
@@ -50,7 +50,7 @@ def close(a, b, rel=None, abs_floor=mpf("1e-30")):
     if rel is None:
         rel = mpf(2) ** (-mp.prec + 16)
     scale = max(abs(a), abs(b))
-    if scale <= abs_floor:
+    if scale <= mpf(abs_floor):
         return True
     return abs(a - b) <= rel * scale
 

@@ -20,16 +20,17 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from . import gevrey
+from . import derham, gevrey
 from .errors import (ContinuationDiverged, DivergentLaplace, EmptyGrid,
-                     GrowthTooFast, NearSingularity, SingularRay)
+                     GrowthTooFast, NearSingularity, RootFindingFailed,
+                     SingularRay)
 from .gevrey import GevreySeries, UnboundedSector, formal_borel
 from .scalar import adaptive_gauss, to_mpc
 
 # guard distance around a known singularity, relative to |zeta|
-_GUARD_FACTOR = mpf("1e-3")
+_GUARD_FACTOR = "1e-3"
 # relative agreement two consecutive Pade orders must reach
-_AGREE_REL = mpf("1e-8")
+_AGREE_REL = "1e-8"
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,11 @@ class BorelFunction:
         return 1 / worst
 
     def guard_distance(self, zeta):
-        return _GUARD_FACTOR * max(abs(to_mpc(zeta)), mpf(1))
+        return mpf(_GUARD_FACTOR) * max(abs(to_mpc(zeta)), mpf(1))
 
     def _check_guard(self, zeta):
         zeta = to_mpc(zeta)
-        guard = _GUARD_FACTOR * abs(zeta)
+        guard = mpf(_GUARD_FACTOR) * abs(zeta)
         for s in self.known_singularities:
             if abs(zeta - s) < guard:
                 raise NearSingularity(f"zeta within guard distance of {s}")
@@ -134,7 +135,7 @@ class BorelFunction:
             a = self._eval_pade(order, powers)
             b = self._eval_pade(order - 1, powers)
             gap = abs(a - b)
-            if gap <= _AGREE_REL * max(abs(a), abs(b), mpf(1)):
+            if gap <= mpf(_AGREE_REL) * max(abs(a), abs(b), mpf(1)):
                 gap = None
             got = self._values[zeta] = (a, gap)
         return got
@@ -244,7 +245,7 @@ def _decay_rate(z, d):
     return mpmath.cos(mpf(d) - mpmath.arg(z)) / abs(z)
 
 
-def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
+def laplace(g, d, z, tail_cut="1e-12", size=None):
     """Truncated Laplace transform along direction d, evaluated at z.
 
     The truncation point solves C*exp((h - rate) T) = tail_cut with
@@ -262,8 +263,7 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
     is about 4.6, the rounded 8 passes the dual Stirling singularity
     2 pi i).
     """
-    z = to_mpc(z)
-    d = mpf(d)
+    z, d, tail_cut = to_mpc(z), mpf(d), mpf(tail_cut)
     if size is None:
         size = _default_size(g, d)
     rate = _decay_rate(z, d)
@@ -292,7 +292,7 @@ def laplace(g, d, z, tail_cut=mpf("1e-12"), size=None):
         # continuation error epsilon(t) enters damped by exp(-rate t), so
         # the acceptable absolute error grows like exp(+rate t)
         def budget():
-            return mpf(tail_cut) * rate * mpmath.exp(rate * mpmath.re(t)) / 20
+            return tail_cut * rate * mpmath.exp(rate * mpmath.re(t)) / 20
         return (continue_borel(g, t * unit, abs_budget=budget)
                 * mpmath.exp(-t * unit / z))
 
@@ -359,7 +359,7 @@ def series_hash(s):
     return hashlib.sha256(payload).hexdigest()
 
 
-def borel_sum(s, d, z_grid, tail_cut=mpf("1e-12"), known_singularities=None,
+def borel_sum(s, d, z_grid, tail_cut="1e-12", known_singularities=None,
               pade_order=None):
     """1-summation of a Gevrey series: Laplace of its Borel transform.
 
@@ -370,7 +370,7 @@ def borel_sum(s, d, z_grid, tail_cut=mpf("1e-12"), known_singularities=None,
     stable approximant poles within a few convergence radii are located
     and used for the guard checks.
     """
-    d = mpf(d)
+    d, tail_cut = mpf(d), mpf(tail_cut)
     for z in z_grid:
         delta = mpmath.arg(to_mpc(z) * mpmath.exp(-1j * d))
         if not abs(delta) < mp.pi / 2:
@@ -419,19 +419,14 @@ def _pade_pole_set(coeffs, order):
     if len(qc) <= 1:
         return [], True
     try:
-        roots = mpmath.polyroots(list(reversed(qc)), maxsteps=120, extraprec=60)
-    except mpmath.libmp.libhyper.NoConvergence:
-        try:
-            # multiple roots make Durand-Kerner converge only linearly
-            roots = mpmath.polyroots(list(reversed(qc)), maxsteps=3000,
-                                     extraprec=80)
-        except mpmath.libmp.libhyper.NoConvergence:
-            return None
+        roots = derham.poly_roots(qc)
+    except RootFindingFailed:
+        return None
     trial = _expand_rational(p, qc, len(coeffs) - 1)
     scale = max(abs(c) for c in coeffs) or mpf(1)
     exact = all(abs(a - b) <= mpf(2) ** (-mp.prec + 40) * scale
                 for a, b in zip(trial, coeffs))
-    return [to_mpc(r) for r in roots], exact
+    return [r for r, m in roots for _ in range(m)], exact
 
 
 def _stable_pade_poles(coeffs, order, search_radius, cluster_tol):

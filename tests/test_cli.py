@@ -9,11 +9,12 @@ import mpmath
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from stokeswb import cli, gevrey, summation
+from stokeswb import cli, derham, gevrey, summation
 from stokeswb.errors import (ContinuationDiverged, DegenerateLattice,
                              DivergentLaplace, MalformedInput, NoCapture,
                              NotOneForm, PathThroughPole, QuadratureNotConverged)
 from stokeswb.gevrey import GevreySeries
+from stokeswb.scalar import cplx_to_pair
 
 
 def run_cli(args):
@@ -101,11 +102,20 @@ class TestAnalyze:
         assert code == 3
 
     def test_rank_three_exit_3(self, tmp_path, capsys):
-        # degree 4 over the simple roots 1, i, -1.5 + 0.5i: three
-        # independent periods, a rank no discrete subgroup of C has
+        # simple poles at 1, i, -1.5 + 0.5i with residues 1, i, sqrt 2, and
+        # a pole at infinity: three periods independent over Z, a rank no
+        # discrete subgroup of C has
+        roots = [mpc(1), mpc(0, 1), mpc("-1.5", "0.5")]
+        q = [mpc(1)]
+        for r in roots:
+            q = derham.poly_mul(q, [-r, 1])
+        p = [mpc(0)] * 3
+        for x, res in zip(roots, [mpc(1), mpc(0, 1), mpmath.sqrt(2)]):
+            for i, c in enumerate(derham.deflate(q, x)):
+                p[i] += res * c
         spec = tmp_path / "rank3.json"
         spec.write_text(json.dumps({
-            "P": [["3", "1"], ["2", "0"], ["0", "0"], ["0", "-1"], ["1", "0"]],
+            "P": [cplx_to_pair(c) for c in p],
             "Q": [["0.5", "1.5"], ["-2", "0"], ["0.5", "-1.5"], ["1", "0"]],
             "basepoint": ["0.5", "-0.5"],
             "branch_paths": [],
@@ -401,6 +411,14 @@ GRID = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(SPEC)
+# residues 1 and 25/13 (rank 1 through a relation with coefficient 25),
+# residues 1 and sqrt 2 (dense on a line), and six simple poles with five
+# independent periods
+@example(spec={"P": ["-13", "38"], "Q": ["0", "-13", "13"],
+               "basepoint": ["0.5", "0.5"]})
+@example(spec={"P": ["-1", "2.41421356237309504880168872420969807856967187537694807317668"],
+               "Q": ["0", "-1", "1"], "basepoint": ["0.5", "0.5"]})
+@example(spec={"P": ["1"], "Q": ["1", "1", "0", "0", "0", "0", "1"]})
 def test_fuzz_spec_exit_codes(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")

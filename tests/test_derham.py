@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from stokeswb import derham, gevrey
+from stokeswb import derham, gevrey, lattice
 from stokeswb.derham import INF, RationalForm
 from stokeswb.errors import (DegenerateLattice, NotOneForm, PathThroughPole,
                              RelationDetectionAmbiguous)
@@ -381,20 +382,115 @@ class TestPrimitive:
         assert abs(total - _quad(gamma_form.form, xs)) < mpf("1e-60")
 
 
+def residue_form(roots, residues):
+    """sum r/(x - root) dx: simple poles, and one at infinity unless the
+    residues sum to zero."""
+    q = [mpc(1)]
+    for x in roots:
+        q = derham.poly_mul(q, [-x, 1])
+    p = [mpc(0)] * len(roots)
+    for x, r in zip(roots, residues):
+        for i, c in enumerate(derham.deflate(q, x)):
+            p[i] += r * c
+    return derham.analyze(p, q)
+
+
+def finite_periods(form):
+    return [2j * mp.pi * p.residue for p in form.poles if p.location != INF]
+
+
+def coordinates(mu, p):
+    """Real coordinates of p in the generators mu, of rank 1 or 2."""
+    if len(mu) == 1:
+        return [mpmath.re(p / mu[0])]
+    m = mpmath.matrix([[g.real for g in mu], [g.imag for g in mu]])
+    return list(mpmath.lu_solve(m, mpmath.matrix([p.real, p.imag])))
+
+
+def random_complex(rng):
+    """A complex number in the unit square at 256 random bits per part."""
+    return mpc(*(mpf(rng.getrandbits(256)) / 2 ** 255 - 1 for _ in range(2)))
+
+
 class TestRankAboveTwo:
-    # degree 4 over three simple roots: a triple pole at infinity, so all
-    # three residues are periods, and they are independent over Z
-    P = [mpc(3, 1), mpc(2), mpc(0), mpc(0, -1), mpc(1)]
     ROOTS = [mpc(1), mpc(0, 1), mpc("-1.5", "0.5")]
 
     def test_period_lattice_raises(self):
+        # residues 1, i and sqrt 2, and a pole at infinity: three periods
+        # independent over Z, a rank no discrete subgroup of C has
+        form = residue_form(self.ROOTS, [mpc(1), mpc(0, 1), mpmath.sqrt(2)])
+        assert len(finite_periods(form)) == 3
+        with pytest.raises(DegenerateLattice, match="rank > 2"):
+            derham.period_lattice(form)
+
+    def test_related_residues_rank_two(self):
+        # degree 4 over the same roots: residues 12/13 + 18/13 i,
+        # -3/5 - 9/5 i and 153/130 - 38/65 i, with 107 r1 + 94 r2 - 36 r3 = 0
+        p = [mpc(3, 1), mpc(2), mpc(0), mpc(0, -1), mpc(1)]
         q = [mpc(1)]
         for r in self.ROOTS:
             q = derham.poly_mul(q, [-r, 1])
-        form = derham.analyze(self.P, q)
-        assert len([p for p in form.poles if p.location != INF]) == 3
+        form = derham.analyze(p, q)
+        lat = derham.period_lattice(form)
+        assert lat.rank == 2
+        coords = [coordinates(lat.mu, per) for per in finite_periods(form)]
+        for t in sum(coords, []):
+            assert abs(t - mpmath.nint(t)) < mpf("1e-60")
+        a = [[int(mpmath.nint(t)) for t in row] for row in coords]
+        minors = [a[i][0] * a[j][1] - a[i][1] * a[j][0]
+                  for i, j in ((0, 1), (0, 2), (1, 2))]
+        # |minors| are a basis change away from (36, 94, 107), gcd 1: the
+        # generators span exactly the subgroup of the periods
+        assert sorted(abs(m) for m in minors) == [36, 94, 107]
+
+
+class TestPeriodBasis:
+    def test_relation_beyond_twelve(self):
+        # 25 p1 - 13 p2 = 0: rank 1 with mu = +-2 pi i / 13
+        lat = derham.period_lattice(residue_form([mpc(0), mpc(1)],
+                                                 [mpc(1), mpf(25) / 13]))
+        assert lat.rank == 1
+        assert abs(abs(lat.mu[0]) - 2 * mp.pi / 13) < mpf("1e-60")
+        assert abs(mpmath.re(lat.mu[0])) < mpf("1e-60")
+
+    def test_dense_on_a_line(self):
+        form = residue_form([mpc(0), mpc(1)], [mpc(1), mpmath.sqrt(2)])
         with pytest.raises(DegenerateLattice, match="rank > 2"):
             derham.period_lattice(form)
+
+    def test_short_independent_period_joins(self):
+        # joining an independent period refines nothing, however short
+        lat = derham.period_lattice(residue_form([mpc(0), mpc(1)],
+                                                 [mpc(1), mpc(0, "1e-4")]))
+        assert lat.rank == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_relations(self, seed):
+        # residues that are small integer combinations of one or two random
+        # complex numbers, on 6-8 random simple poles
+        rng = random.Random(seed)
+        k, rank = 6 + seed % 3, 1 + seed % 2
+        omegas = [random_complex(rng) for _ in range(rank)]
+        residues = [sum((rng.choice([-1, 1]) * rng.randint(1, 9) * omegas[0],
+                         *(rng.randint(-9, 9) * w for w in omegas[1:])), mpc(0))
+                    for _ in range(k)]
+        form = residue_form([3 * random_complex(rng) for _ in range(k)], residues)
+        lat = derham.period_lattice(form)
+        assert lat.rank == rank
+        for per in finite_periods(form):
+            for t in coordinates(lat.mu, per):
+                assert abs(t - mpmath.nint(t)) < mpf("1e-30")
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_independent_periods_fail_fast(self, k):
+        rng = random.Random(100 + k)
+        form = residue_form([3 * random_complex(rng) for _ in range(k)],
+                            [random_complex(rng) for _ in range(k)])
+        start = time.perf_counter()
+        with pytest.raises(DegenerateLattice, match="rank > 2"):
+            derham.period_lattice(form)
+        # an exhaustive search over coefficient vectors grows like c^k
+        assert time.perf_counter() - start < 1
 
 
 class TestValueMemo:
@@ -422,3 +518,15 @@ class TestValueMemo:
                                   mpf(lam) ** mpf("-0.5"))
             assert got.isclose(closed, rel=mpf("1e-40"))
             del form
+
+
+def test_defaults_made_at_the_working_precision():
+    # 1e-8 and 1e-40 rounded to 53 bits lie on either side of their
+    # 256-bit values: a default fixed at import would settle these
+    # boundary cases unlike the explicit mpf("...") at the call
+    one = RationalForm((mpc(1),), (mpc(1),))
+    pole = mpc("0.5", "1e-8")       # 1e-8 from the segment [0, 1]
+    explicit = derham.path_integral(one, [0, 1], poles=[pole], guard=mpf("1e-8"))
+    assert derham.path_integral(one, [0, 1], poles=[pole]) == explicit
+    with pytest.raises(DegenerateLattice):   # |mu| at the zero tolerance
+        lattice.support_radius(lattice.Lattice((mpc("1e-40"),)))
