@@ -31,19 +31,18 @@ from .scalar import legendre_nodes, to_mpc, wrap_angle
 
 @dataclass(frozen=True)
 class LocalRay:
-    zero_index: int
     ray_index: int           # 0..m (m+1 rays)
     direction: object
     slope_forward: object    # (2 pi l + d)/(m+1), the t >= 0 half
     slope_backward: object   # (2 pi (l+1) + d)/(m+1), the t <= 0 half
 
 
-def local_rays(m, d, zero_index=0):
+def local_rays(m, d):
     d = mpf(d)
     out = []
     for ell in range(m + 1):
         out.append(LocalRay(
-            zero_index, ell, d,
+            ell, d,
             (2 * mp.pi * ell + d) / (m + 1),
             (2 * mp.pi * (ell + 1) + d) / (m + 1)))
     return out
@@ -68,9 +67,9 @@ class Cycle:
         return cls(tuple((to_mpc(w), p) for w, p in zip(weights, paths)), direction)
 
 
-def dft_cycles(m, d, zero_index=0):
+def dft_cycles(m, d):
     """Local model cycles C_k = sum_l w[k][l] c_l, k = 0..m-1."""
-    rays = local_rays(m, d, zero_index)
+    rays = local_rays(m, d)
     weights = dft_weights(m)
     return [Cycle.combine(weights[k], rays, mpf(d)) for k in range(m)]
 
@@ -91,14 +90,19 @@ def local_normalizer(m, k, z, d=0):
     return (1 - mpmath.exp(2j * mp.pi * ratio)) * power * mpmath.gamma(ratio) / (m + 1)
 
 
-def local_ray_integral(m, ell, kprime, z, d=0, tol="1e-24"):
-    """Quadrature of exp(-u^(m+1)/((m+1) z)) u^k' du over one outgoing ray."""
+# the local model integrals stop where the integrand falls below this
+_LOCAL_TOL = "1e-24"
+
+
+def local_ray_integral(m, ell, kprime, z, d=0):
+    """Quadrature of exp(-u^(m+1)/((m+1) z)) u^k' du over one outgoing ray,
+    cut where the exponential falls below _LOCAL_TOL."""
     z, d = to_mpc(z), mpf(d)
     phi = (2 * mp.pi * ell + d) / (m + 1)
     rate = mpmath.cos(d - mpmath.arg(z)) / abs(z)
     if rate <= 0:
         raise ValueError("z outside the admissible half-plane")
-    t_max = ((m + 1) * mpmath.log(1 / mpf(tol)) / rate) ** (mpf(1) / (m + 1))
+    t_max = ((m + 1) * mpmath.log(1 / mpf(_LOCAL_TOL)) / rate) ** (mpf(1) / (m + 1))
     phase = mpmath.exp(1j * (kprime + 1) * phi)
     expo = mpmath.exp(1j * d) / ((m + 1) * z)
 
@@ -117,7 +121,7 @@ def local_ray_integral(m, ell, kprime, z, d=0, tol="1e-24"):
     return phase * total
 
 
-def local_cycle_integral(cycle, m, kprime, z, tol="1e-24"):
+def local_cycle_integral(cycle, m, kprime, z):
     """Pairing of a local model cycle with u^k' du by quadrature.
 
     Each member path c_l contributes its outgoing ray l minus the
@@ -127,8 +131,8 @@ def local_cycle_integral(cycle, m, kprime, z, tol="1e-24"):
     total = mpc(0)
     for w, ray in cycle.members:
         ell = ray.ray_index
-        plus = local_ray_integral(m, ell, kprime, z, d, tol)
-        minus = local_ray_integral(m, (ell + 1) % (m + 1), kprime, z, d, tol)
+        plus = local_ray_integral(m, ell, kprime, z, d)
+        minus = local_ray_integral(m, (ell + 1) % (m + 1), kprime, z, d)
         total += w * (plus - minus)
     return total
 
@@ -178,7 +182,7 @@ def in_boundary_set(pole, arc, theta_k):
 
 @dataclass(frozen=True)
 class TraceControls:
-    rk_tol: object = mpf("1e-14")          # stops a sample's Newton corrector
+    rk_tol: object = 1e-14                 # stops a sample's Newton corrector
     max_arc_length: object = mpf("1e5")    # arc length of the first trace
     # Re(e^{-id}(f-c)) where the first trace of an irregular tail ends;
     # sums grow the tail on demand, so no integral depends on it
@@ -186,7 +190,7 @@ class TraceControls:
 
 
 _SEED_SCALE = "1e-6"            # |f - c| at the seed / reference scale
-_CAPTURE_FACTOR = mpf("0.1")    # trap radius / distance to nearest point
+_CAPTURE_FACTOR = 0.1           # trap radius / distance to nearest point
 _SADDLE_TOL = 1e-7              # approach tolerance at foreign zeros
 _SPIRAL_TOL = "1e-8"            # straight-vs-spiral test at simple poles
 _MAX_STEPS = 200000             # steps tried on a ray, growth included

@@ -12,7 +12,6 @@ import inspect
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -22,7 +21,7 @@ from .errors import (DegenerateLattice, NotOneForm, PathThroughPole,
                      RelationDetectionAmbiguous, RootFindingFailed)
 from .gevrey import GevreySeries
 from .lattice import Lattice, support_radius
-from .scalar import adaptive_gauss, close, cplx_to_pair, to_mpc
+from .scalar import adaptive_gauss, cplx_to_pair, to_mpc
 
 INF = "infinity"
 
@@ -94,8 +93,12 @@ def deflate(p, root):
     return out
 
 
-def newton_polish(p, dp, x, steps=8):
-    for _ in range(steps):
+# Newton steps that polish a root seed at working precision
+_POLISH_STEPS = 40
+
+
+def newton_polish(p, dp, x):
+    for _ in range(_POLISH_STEPS):
         fx = poly_eval(p, x)
         dfx = poly_eval(dp, x)
         if dfx == 0:
@@ -227,7 +230,7 @@ def _polished_roots(p, seeds, bits):
         for _ in range(m - 1):
             q = poly_derivative(q)
         center = sum(members, mpc(0)) / m
-        x = newton_polish(q, poly_derivative(q), center, steps=40)
+        x = newton_polish(q, poly_derivative(q), center)
         if m > 1 and bits < mp.prec and (
                 abs(poly_eval(p, x)) > _noise(mp.prec) * poly_eval(size, abs(x)).real):
             return None
@@ -339,11 +342,6 @@ class OneForm:
     def pole_order_sum(self):
         return sum(p.order for p in self.poles)
 
-    def finite_special_points(self):
-        pts = [z.location for z in self.zeros if z.location != INF]
-        pts += [p.location for p in self.poles if p.location != INF]
-        return pts
-
     def report(self):
         return {
             "zeros": [{"location": "infinity" if z.location == INF
@@ -427,21 +425,16 @@ def analyze(p_coeffs, q_coeffs):
     for i, used in enumerate(q_used):
         if not used:
             keep_q.append(q_roots[i])
-    if any(mq for _, mq in keep_q):
-        # rebuild canceled polynomials for residue work
-        lead_p = p[-1]
-        lead_q = q[-1]
-        newp = [lead_p]
-        for r, m in keep_p:
-            for _ in range(m):
-                newp = poly_mul(newp, [-r, mpc(1)])
-        newq = [lead_q]
-        for r, m in keep_q:
-            for _ in range(m):
-                newq = poly_mul(newq, [-r, mpc(1)])
-        form = RationalForm(tuple(newp), tuple(newq))
-    else:
-        form = RationalForm(tuple(p), tuple(q))
+    # rebuild P and Q from the kept roots, so no cancelled factor is left
+    newp = [p[-1]]
+    for r, m in keep_p:
+        for _ in range(m):
+            newp = poly_mul(newp, [-r, mpc(1)])
+    newq = [q[-1]]
+    for r, m in keep_q:
+        for _ in range(m):
+            newq = poly_mul(newq, [-r, mpc(1)])
+    form = RationalForm(tuple(newp), tuple(newq))
     zeros = [Zero(r, m) for r, m in keep_p]
     poles = []
     for r, m in keep_q:
@@ -622,21 +615,21 @@ def _period_basis(periods):
     return basis
 
 
-def period_lattice(one_form, weights=None):
+def period_lattice(one_form):
     """Lattice of periods of the form over loops around its poles.
 
     On genus zero, loops around finite poles generate the homology of
     the punctured line; when infinity is not a pole the residues sum to
     zero and one loop is dependent.  The generators are a reduced basis
     of the subgroup of C the periods generate (`_period_basis`), so the
-    lattice embeds into C by its period map.
+    lattice embeds into C by its period map.  Its weights are all 1.
     """
     finite = [p for p in one_form.poles if p.location != INF]
     has_inf_pole = any(p.location == INF for p in one_form.poles)
     periods = [2j * mp.pi * p.residue for p in finite]
     if not has_inf_pole and periods:
         periods = periods[:-1]  # residue theorem: last loop is minus the others
-    lat = Lattice(tuple(_period_basis(periods)), weights)
+    lat = Lattice(tuple(_period_basis(periods)))
     if lat.rank:
         rep = support_radius(lat)  # raises DegenerateLattice on exact failure
         period_scale = max(abs(m) for m in lat.mu)
@@ -660,10 +653,9 @@ class CriticalData:
     lattice: Lattice
 
 
-def _segment_integral(form, a, b, tol=None):
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec // 2)
-    return adaptive_gauss(lambda x: form(x), a, b, tol)
+def _segment_integral(form, a, b):
+    """The form over [a, b] by adaptive Gauss to 2^(-prec/2)."""
+    return adaptive_gauss(lambda x: form(x), a, b, mpf(2) ** (-mp.prec // 2))
 
 
 def path_integral(form, waypoints, poles=None, guard="1e-8"):

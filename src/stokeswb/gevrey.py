@@ -14,7 +14,6 @@ coefficients the result reads, n^3/6 products at order n.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -23,49 +22,16 @@ from .errors import EmptyGrid, ZeroLeadingCoefficient
 from .scalar import close, cplx_to_pair, pair_to_cplx, to_mpc
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Open sector {0 < |z| < radius, |arg z - direction| < opening/2}."""
-    direction: object
-    opening: object
-    radius: object
-
-    def __post_init__(self):
-        if not (mpf(self.opening) > 0 and mpf(self.radius) > 0):
-            raise ValueError("sector needs opening > 0 and radius > 0")
-
-    def contains(self, z):
-        z = to_mpc(z)
-        if not (0 < abs(z) < mpf(self.radius)):
-            return False
-        delta = mpmath.arg(z * mpmath.exp(-1j * mpf(self.direction)))
-        return abs(delta) < mpf(self.opening) / 2
-
-
-@dataclass(frozen=True)
-class UnboundedSector:
-    """Unbounded sector {|arg zeta - direction| < half_opening} in the Borel plane."""
-    direction: object
-    half_opening: object
-
-    def __post_init__(self):
-        if not mpf(self.half_opening) > 0:
-            raise ValueError("half_opening must be positive")
-
-    def contains(self, zeta):
-        zeta = to_mpc(zeta)
-        if abs(zeta) == 0:
-            return False
-        delta = mpmath.arg(zeta * mpmath.exp(-1j * mpf(self.direction)))
-        return abs(delta) < mpf(self.half_opening)
+# `check_asymptotic` passes when every remainder constant is at most this
+# many times the Gevrey constant of the series
+_TOLERANCE_FACTOR = 2
 
 
 @dataclass(frozen=True)
 class GevreySeries:
-    """a_0 + a_1 z + ... + a_N z^N with an optional Gevrey-1 constant."""
+    """a_0 + a_1 z + ... + a_N z^N, with the precision its coefficients carry."""
     coeffs: tuple
     precision: int = field(default=None)
-    gevrey_constant: Optional[object] = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(to_mpc(c) for c in self.coeffs))
@@ -73,8 +39,6 @@ class GevreySeries:
             raise ValueError("series needs at least the constant coefficient")
         if self.precision is None:
             object.__setattr__(self, "precision", mp.prec)
-        if self.gevrey_constant is not None and not mpf(self.gevrey_constant) > 0:
-            raise ValueError("gevrey_constant must be positive")
 
     @property
     def trunc_order(self):
@@ -99,10 +63,10 @@ class GevreySeries:
                             + tuple(c / (n + 1) for n, c in enumerate(self.coeffs)),
                             self.precision)
 
-    def valuation(self, tol=None):
-        """Index of the first coefficient that is not numerically zero."""
-        if tol is None:
-            tol = mpf(2) ** (-self.precision // 2)
+    def valuation(self):
+        """Index of the first coefficient that is not numerically zero:
+        above 2^(-precision/2) times the largest one."""
+        tol = mpf(2) ** (-self.precision // 2)
         scale = max(abs(c) for c in self.coeffs)
         if scale == 0:
             return None
@@ -135,20 +99,20 @@ class GevreySeries:
         return cls(coeffs, prec)
 
 
-def from_coeffs(values, precision=None):
-    return GevreySeries(tuple(to_mpc(v) for v in values), precision)
+def from_coeffs(values):
+    return GevreySeries(tuple(to_mpc(v) for v in values))
 
 
-def zero_series(order, precision=None):
-    return GevreySeries((mpc(0),) * (order + 1), precision)
+def zero_series(order):
+    return GevreySeries((mpc(0),) * (order + 1))
 
 
-def monomial(coeff, degree, order, precision=None):
+def monomial(coeff, degree, order):
     if degree > order:
-        return zero_series(order, precision)
+        return zero_series(order)
     coeffs = [mpc(0)] * (order + 1)
     coeffs[degree] = to_mpc(coeff)
-    return GevreySeries(tuple(coeffs), precision)
+    return GevreySeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +305,7 @@ def formal_borel(s):
         if n > 0:
             fact *= n
         out.append(c / fact)
-    return GevreySeries(tuple(out), s.precision, None)
+    return GevreySeries(tuple(out), s.precision)
 
 
 @dataclass
@@ -349,21 +313,20 @@ class AsymptoticReport:
     passed: bool
     constants: list            # C_N for N = 1..N_max
     gevrey_estimate: object    # from the series coefficients
-    tolerance_factor: object
     failed_orders: list
 
     def worst(self):
         return max(self.constants) if self.constants else mpf(0)
 
 
-def check_asymptotic(samples, s, n_max, tolerance_factor=2):
+def check_asymptotic(samples, s, n_max):
     """Gevrey-1 remainder test of sampled values against a series.
 
     `samples` is an iterable of (z, f(z)) pairs on a closed subsector.
     For each N <= n_max the constant
         C_N = sup_z (|z|^-N |f(z) - sum_{n<N} a_n z^n| / N!)^(1/(N+1))
     is computed; the test passes when every C_N is at most
-    tolerance_factor * estimate_gevrey_constant(s).
+    _TOLERANCE_FACTOR * estimate_gevrey_constant(s).
     """
     samples = list(samples)
     if not samples:
@@ -385,6 +348,6 @@ def check_asymptotic(samples, s, n_max, tolerance_factor=2):
             if cand > worst:
                 worst = cand
         constants.append(worst)
-        if worst > tolerance_factor * c_est:
+        if worst > _TOLERANCE_FACTOR * c_est:
             failed.append(big_n)
-    return AsymptoticReport(not failed, constants, c_est, tolerance_factor, failed)
+    return AsymptoticReport(not failed, constants, c_est, failed)

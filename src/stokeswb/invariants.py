@@ -13,9 +13,9 @@ from . import betti, derham, gevrey, lattice, summation
 from .gevrey import GevreySeries
 
 
-def _random_series(rng, order, scale=1.0):
-    return GevreySeries(tuple(mpc(rng.uniform(-scale, scale),
-                                  rng.uniform(-scale, scale))
+def _random_series(rng, order):
+    """Coefficients with real and imaginary parts uniform in [-1, 1]."""
+    return GevreySeries(tuple(mpc(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                               for _ in range(order + 1)))
 
 

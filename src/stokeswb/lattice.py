@@ -11,7 +11,7 @@ the working precision of the call.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
@@ -28,6 +28,18 @@ _SCREEN = 1e-9
 # absolute margin of the float screens of angles in [0, 2 pi): well above
 # their float error of a few 1e-16
 _ANGLE_SCREEN = 1e-13
+# `critical_differences` merges points closer than this times max(radius, 1)
+_DEDUP_REL = "1e-30"
+# exponents and coefficients of two equal `ExpSum`s agree to this
+_EQUAL_TOL = "1e-30"
+# endpoints of a stored arc of an `ExponentMultiMap` match to this
+_ARC_TOL = "1e-12"
+# samples of arg z on the arc of `moderate_bound`
+_MODERATE_SAMPLES = 16
+# radii and angles of the grid of `frechet_seminorm`
+_SEMINORM_RADII, _SEMINORM_ANGLES = 24, 9
+# applications of Psi that `neumann_solve` tries before it gives up
+_NEUMANN_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -123,11 +135,12 @@ def support_radius(lat, enum_bound=24):
     return SupportRadiusReport(best, interior, witness, False)
 
 
-def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
+def critical_differences(c_set, lat, radius):
     """All (c - c') + mu(gamma) with modulus <= radius, zero removed.
 
     The support property guarantees only finitely many gamma contribute;
-    the enumeration bound is derived from it unless given.
+    the enumeration bound is derived from it.  Points closer than
+    _DEDUP_REL * max(radius, 1) count as one.
     """
     radius = mpf(radius)
     if radius <= 0:
@@ -141,8 +154,7 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
             max_diff = max(max_diff, abs(c - cp))
     if lat.rank > 0:
         rep = support_radius(lat)
-        if enum_bound is None:
-            enum_bound = int(mpmath.ceil((radius + max_diff) / rep.value)) + 1
+        enum_bound = int(mpmath.ceil((radius + max_diff) / rep.value)) + 1
         gammas = [tuple([0] * lat.rank)] + list(lat.vectors_in_ball(enum_bound))
         reach = enum_bound * max(abs(m) for m in lat.mu) / min(lat.weights)
     else:
@@ -152,8 +164,7 @@ def critical_differences(c_set, lat, radius, enum_bound=None, dedup_tol=None):
     periods = [sum((g * m for g, m in zip(gamma, mu)), 0j) for gamma in gammas]
     slack = _SCREEN * float(radius + max_diff + reach)
     outside = float(radius) + slack
-    if dedup_tol is None:
-        dedup_tol = mpf("1e-30") * max(radius, mpf(1))
+    dedup_tol = mpf(_DEDUP_REL) * max(radius, mpf(1))
     # kept points by grid cell of side dedup_tol: a point within dedup_tol
     # of w lies in w's cell or one of its eight neighbours
     cells = {}
@@ -334,18 +345,13 @@ class ExpSum:
     def constant(cls, lat, value=1):
         return cls(lat, {tuple([0] * lat.rank): value})
 
-    @classmethod
-    def generator(cls, lat, index=0, coeff=1):
-        gamma = [0] * lat.rank
-        gamma[index] = 1
-        return cls(lat, {tuple(gamma): coeff})
-
     def exponent_map(self):
         return {g: (self.offset + self.lattice.period(g), c)
                 for g, c in self.terms.items()}
 
-    def equals(self, other, tol="1e-30"):
-        tol = mpf(tol)
+    def equals(self, other):
+        """Same exponents and coefficients up to _EQUAL_TOL, in any order."""
+        tol = mpf(_EQUAL_TOL)
         mine = list(self.exponent_map().values())
         theirs = list(other.exponent_map().values())
         if len(mine) != len(theirs):
@@ -472,12 +478,12 @@ class ModerateBoundReport:
     satisfied: bool
 
 
-def moderate_bound(f, arc, z_abs, n_samples=16):
+def moderate_bound(f, arc, z_abs):
     """Decay bound |f(z) - a_0| <= sum |a_gamma| exp(-eps R ||gamma||/|z|).
 
     Every nonzero-index term must decay strictly on the interior of the
-    closed arc; the bound is then checked against samples of arg z on
-    the arc at |z| = z_abs.
+    closed arc; the bound is then checked against _MODERATE_SAMPLES
+    samples of arg z on the arc at |z| = z_abs.
     """
     lo, hi = mpf(arc[0]), mpf(arc[1])
     z_abs = mpf(z_abs)
@@ -506,8 +512,8 @@ def moderate_bound(f, arc, z_abs, n_samples=16):
         decay_part += abs(c) * mpmath.exp(-eps * big_r * lat.norm(g) / z_abs)
     bound_total = abs(a0) + decay_part
     worst = mpf(0)
-    for i in range(n_samples):
-        theta = lo + (hi - lo) * i / max(n_samples - 1, 1) if hi > lo else lo
+    for i in range(_MODERATE_SAMPLES):
+        theta = lo + (hi - lo) * i / (_MODERATE_SAMPLES - 1) if hi > lo else lo
         z = z_abs * mpmath.exp(1j * theta)
         worst = max(worst, abs(f.evaluate(z) - a0))
     return ModerateBoundReport(
@@ -536,50 +542,47 @@ class ExponentMultiMap:
                 raise ValueError("monotonicity violated: super-arc with larger value")
         self._arcs.append((lo, hi, value))
 
-    def value(self, lo, hi, tol="1e-12"):
-        tol = mpf(tol)
+    def value(self, lo, hi):
+        """The value of the stored arc whose ends match lo and hi to _ARC_TOL."""
+        tol = mpf(_ARC_TOL)
         for (l2, h2, v2) in self._arcs:
             if abs(l2 - lo) <= tol and abs(h2 - hi) <= tol:
                 return v2
         raise KeyError("arc not stored")
-
-    def arcs(self):
-        return list(self._arcs)
 
 
 @dataclass
 class SeminormReport:
     value: object
     growth_detected: bool
-    n_radial: int
-    n_angular: int
 
 
-def frechet_seminorm(f, a_map, arc, rho, n_radial=24, n_angular=9):
+def frechet_seminorm(f, a_map, arc, rho):
     """sup over the closed sector S(arc, rho) of exp(a_J/|z|) |f(z)|.
 
     f is a callable z -> value or an ExpSum.  The sup is taken over a
-    radial/angular grid; a monotone increase toward |z| -> 0 at the
-    smallest radii is flagged as growth (the weight outpaces the decay
-    of f).
+    grid of _SEMINORM_RADII radii and _SEMINORM_ANGLES angles; a
+    monotone increase toward |z| -> 0 at the smallest radii is flagged
+    as growth (the weight outpaces the decay of f).
     """
     lo, hi = mpf(arc[0]), mpf(arc[1])
     a_j = a_map.value(lo, hi)
     fun = f.evaluate if isinstance(f, ExpSum) else f
-    radii = sorted(mpf(rho) * mpf(k + 1) / n_radial for k in range(n_radial))
+    radii = sorted(mpf(rho) * mpf(k + 1) / _SEMINORM_RADII
+                   for k in range(_SEMINORM_RADII))
     best = mpf(0)
     trend = []
     for r in radii:
         local = mpf(0)
-        for i in range(n_angular):
-            theta = lo + (hi - lo) * i / max(n_angular - 1, 1) if hi > lo else lo
+        for i in range(_SEMINORM_ANGLES):
+            theta = lo + (hi - lo) * i / (_SEMINORM_ANGLES - 1) if hi > lo else lo
             z = r * mpmath.exp(1j * theta)
             local = max(local, mpmath.exp(a_j / r) * abs(fun(z)))
         trend.append(local)
         best = max(best, local)
     # weight outpacing the function: the sup blows up toward |z| -> 0
     growth = len(trend) >= 3 and trend[0] > 4 * trend[1] and trend[1] > 4 * trend[2]
-    return SeminormReport(best, growth, n_radial, n_angular)
+    return SeminormReport(best, growth)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +682,7 @@ def check_lowering(module, psi, arc):
                         f"Psi[{i}][{j}] term {g} does not lower the filtration")
 
 
-def neumann_solve(module, psi, g, trunc, max_iter=10000):
+def neumann_solve(module, psi, g, trunc):
     """h = sum_n Psi^n(g), stopped once an iterate falls below the cutoff.
 
     Psi must strictly lower the exponent filtration at every direction of
@@ -688,7 +691,9 @@ def neumann_solve(module, psi, g, trunc, max_iter=10000):
     stop rule, iterates are kept whole: the first iterate *entirely*
     beyond the truncation cutoff is discarded and the sum ends, so
     (id - Psi) h - g equals exactly minus that iterate and the residual
-    norm is bounded by (indeed equal to) its norm.
+    norm is bounded by (indeed equal to) its norm.  After
+    _NEUMANN_MAX_ITER applications without that stop, Psi is taken not to
+    lower, and NotLowering is raised.
     """
     check_lowering(module, psi, trunc.arc)
     if any(comp.offset != 0 for comp in g):
@@ -705,7 +710,7 @@ def neumann_solve(module, psi, g, trunc, max_iter=10000):
     term = h
     iterations = 0
     first_discarded = module.zero_element()
-    while iterations < max_iter:
+    while iterations < _NEUMANN_MAX_ITER:
         iterations += 1
         nxt = _apply(module, psi, term)
         if all(c.is_zero() for c in nxt):

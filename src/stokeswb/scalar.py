@@ -18,6 +18,10 @@ DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 # panels of adaptive_gauss halve at most this many times
 MAX_DEPTH = 40
+# Gauss-Legendre nodes per panel of gauss_segment and adaptive_gauss
+GAUSS_NODES = 32
+# magnitude below which `close` compares absolutely, made mpf at call time
+_ABS_FLOOR = "1e-30"
 
 
 def default_precision():
@@ -40,8 +44,8 @@ def to_mpc(value):
     return mpc(value)
 
 
-def close(a, b, rel=None, abs_floor="1e-30"):
-    """Relative comparison, absolute below `abs_floor` magnitude.
+def close(a, b, rel=None):
+    """Relative comparison, absolute below `_ABS_FLOOR` magnitude.
 
     Factorials and Gamma values span a huge dynamic range, so comparisons
     are relative unless both values are tiny.
@@ -50,7 +54,7 @@ def close(a, b, rel=None, abs_floor="1e-30"):
     if rel is None:
         rel = mpf(2) ** (-mp.prec + 16)
     scale = max(abs(a), abs(b))
-    if scale <= mpf(abs_floor):
+    if scale <= mpf(_ABS_FLOOR):
         return True
     return abs(a - b) <= rel * scale
 
@@ -93,10 +97,9 @@ def wrap_angle(theta):
 _gl_cache = {}
 
 
-def legendre_nodes(n, prec=None):
-    """Nodes and weights of n-point Gauss-Legendre on [-1, 1]."""
-    if prec is None:
-        prec = mp.prec
+def legendre_nodes(n):
+    """Nodes and weights of n-point Gauss-Legendre on [-1, 1] at working precision."""
+    prec = mp.prec
     key = (n, prec)
     cached = _gl_cache.get(key)
     if cached is not None:
@@ -126,18 +129,18 @@ def legendre_nodes(n, prec=None):
     return _gl_cache[key]
 
 
-def gauss_segment(f, a, b, n=32):
-    """n-point Gauss-Legendre of f over the straight segment [a, b] in C."""
+def gauss_segment(f, a, b):
+    """GAUSS_NODES-point Gauss-Legendre of f over the straight segment [a, b] in C."""
     a, b = to_mpc(a), to_mpc(b)
     mid = (a + b) / 2
     half = (b - a) / 2
     total = mpc(0)
-    for x, w in legendre_nodes(n):
+    for x, w in legendre_nodes(GAUSS_NODES):
         total += w * f(mid + half * x)
     return total * half
 
 
-def adaptive_gauss(f, a, b, tol, n=32, depth=0, whole=None):
+def adaptive_gauss(f, a, b, tol, depth=0, whole=None):
     """Adaptive panel Gauss-Legendre over [a, b] (straight segment).
 
     A panel is split when the whole-panel estimate and the sum of the two
@@ -147,15 +150,15 @@ def adaptive_gauss(f, a, b, tol, n=32, depth=0, whole=None):
     summed twice.
     """
     if whole is None:
-        whole = gauss_segment(f, a, b, n)
+        whole = gauss_segment(f, a, b)
     mid = (to_mpc(a) + to_mpc(b)) / 2
-    left = gauss_segment(f, a, mid, n)
-    right = gauss_segment(f, mid, b, n)
+    left = gauss_segment(f, a, mid)
+    right = gauss_segment(f, mid, b)
     if abs(whole - (left + right)) <= mpf(tol) / 10:
         return left + right
     if depth >= MAX_DEPTH:
         raise QuadratureNotConverged(
             f"adaptive Gauss-Legendre not converged at depth {MAX_DEPTH} "
             f"near {mpmath.nstr(mid, 15)}")
-    return (adaptive_gauss(f, a, mid, tol / 2, n, depth + 1, left)
-            + adaptive_gauss(f, mid, b, tol / 2, n, depth + 1, right))
+    return (adaptive_gauss(f, a, mid, tol / 2, depth + 1, left)
+            + adaptive_gauss(f, mid, b, tol / 2, depth + 1, right))

@@ -40,7 +40,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import betti, derham, summation
-from .betti import ThimblePath, local_normalizer
+from .betti import local_normalizer
 from .derham import INF, RationalForm
 from .errors import FitResidualTooLarge, TailNotDecaying
 from .gevrey import GevreySeries
@@ -53,6 +53,14 @@ _CHORD_NODES = 24
 # (n!)^4 / ((2n+1) ((2n)!)^3) at n = _CHORD_NODES, about 1.6e-90
 _REMAINDER = (math.factorial(_CHORD_NODES) ** 4
               / ((2 * _CHORD_NODES + 1) * math.factorial(2 * _CHORD_NODES) ** 3))
+# `stokes_factor`: the largest fit residual, and the largest 1-norm
+# condition number of a grid point's matrix that the fit keeps
+_RESIDUAL_TOL = "1e-6"
+_COND_CAP = "1e12"
+# `digamma_connection_check`: the relative error it passes at, and its
+# finite-difference step relative to |z|
+_DIGAMMA_REL_TOL = "1e-5"
+_FD_STEP = "1e-6"
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +469,14 @@ def ray_integral(ray, omega, z, tol="1e-12", df_max=None):
     return total
 
 
-def path_integral_exp(path, omega, z, tol="1e-12"):
-    """Integral over a full thimble: forward ray minus backward ray."""
+def exp_integral(path, omega, crit, z, tol="1e-12"):
+    """Exponential period of omega over a thimble at z: the integral along
+    its forward ray minus that along its backward ray.
+
+    `crit` is not read; the rays carry their critical data.
+    """
     return (ray_integral(path.forward, omega, z, tol)
             - ray_integral(path.backward, omega, z, tol))
-
-
-def exp_integral(obj, omega, crit, z, tol="1e-12"):
-    """Exponential period of omega over a thimble or cycle at z."""
-    if isinstance(obj, ThimblePath):
-        return path_integral_exp(obj, omega, z, tol)
-    if isinstance(obj, betti.Cycle):
-        total = mpc(0)
-        for w, member in obj.members:
-            total += w * path_integral_exp(member, omega, z, tol)
-        return total
-    raise TypeError("expected a ThimblePath or Cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -544,27 +544,25 @@ def default_representatives(one_form):
     return reps[:target]
 
 
-def sector_matrix(one_form, crit, d, z_grid, reps=None, asy_order=12,
-                  controls=None, tol="1e-12"):
+def sector_matrix(one_form, crit, d, z_grid, asy_order=12, controls=None,
+                  tol="1e-12"):
     """Assemble the per-direction matrix of normalized cycle integrals.
 
     Entry ((j,k), omega) is
         normalizer^-1 exp(c_j/z) * integral over the k-th cycle at zero j
     of exp(-f/z) omega, where the integral runs over the discrete-
-    Fourier combination of traced thimbles.
+    Fourier combination of traced thimbles, and the columns omega are the
+    `default_representatives` of the form.
     """
     d = mpf(d)
     for z in z_grid:
         if not abs(mpmath.arg(to_mpc(z) * mpmath.exp(-1j * d))) < mp.pi / 2:
             raise ValueError(f"grid point {z} outside the half-plane of {d}")
-    if reps is None:
-        reps = default_representatives(one_form)
+    reps = default_representatives(one_form)
     row_index = []
     for j, zero in enumerate(one_form.zeros):
         for k in range(zero.order):
             row_index.append((j, k))
-    if len(reps) != len(row_index):
-        raise ValueError("need as many representatives as matrix rows")
     entries = {}
     asy = {}
     df_max = _quantized_df(min(abs(to_mpc(z)) for z in z_grid), tol)
@@ -638,8 +636,7 @@ def _solve_least_squares(design, rhs):
     return [sol[i] for i in range(k)]
 
 
-def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol="1e-6",
-                  cond_cap="1e12"):
+def stokes_factor(xi_a, xi_b, lat, basis_bound=2):
     """Fit the sector-to-sector transition over the exponential dictionary.
 
     The two sectorial matrices must share their z grid (the overlap
@@ -649,13 +646,14 @@ def stokes_factor(xi_a, xi_b, lat, basis_bound=2, residual_tol="1e-6",
     terms (its dual inverse is an infinite decaying sum).  Each entry is
     fitted by linear least squares over exponentials
     exp(((c_j' - c_j) + mu(gamma))/z) with ||gamma|| up to the basis
-    bound; the residual is the worst absolute mismatch over the grid.
-    Grid points where A is singular or its 1-norm condition number
-    exceeds cond_cap are left out of the fit and listed in `dropped`;
-    the fit needs at least as many kept points as the dictionary has
-    terms, and at least two.
+    bound; the residual is the worst absolute mismatch over the grid,
+    and above _RESIDUAL_TOL it raises FitResidualTooLarge.  Grid points
+    where A is singular or its 1-norm condition number exceeds _COND_CAP
+    are left out of the fit and listed in `dropped`; the fit needs at
+    least as many kept points as the dictionary has terms, and at least
+    two.
     """
-    residual_tol, cond_cap = mpf(residual_tol), mpf(cond_cap)
+    residual_tol, cond_cap = mpf(_RESIDUAL_TOL), mpf(_COND_CAP)
     grid = [to_mpc(z) for z in xi_a.z_grid]
     if len(grid) != len(xi_b.z_grid) or any(
             abs(a - to_mpc(b)) > mpf("1e-30") for a, b in zip(grid, xi_b.z_grid)):
@@ -748,8 +746,8 @@ class ComparisonReport:
     tolerance: object
 
 
-def comparison_check(one_form, crit, d, z_grid, reps=None, tol="1e-6",
-                     asy_order=24, quad_tol="1e-12", controls=None):
+def comparison_check(one_form, crit, d, z_grid, tol="1e-6", asy_order=24,
+                     quad_tol="1e-12"):
     """Route the diagram both ways and report the worst discrepancy.
 
     Left-bottom: the raw thimble-cycle integral of exp(-f/z) omega
@@ -760,10 +758,8 @@ def comparison_check(one_form, crit, d, z_grid, reps=None, tol="1e-6",
     agreement validates both.
     """
     d, tol, quad_tol = mpf(d), mpf(tol), mpf(quad_tol)
-    if reps is None:
-        reps = default_representatives(one_form)
-    sm = sector_matrix(one_form, crit, d, z_grid, reps, asy_order=asy_order,
-                       controls=controls, tol=quad_tol)
+    sm = sector_matrix(one_form, crit, d, z_grid, asy_order=asy_order,
+                       tol=quad_tol)
     from .lattice import critical_differences
     sing = critical_differences(crit.representatives, crit.lattice,
                                 radius=mpf(40)) if crit.lattice.rank else []
@@ -793,8 +789,7 @@ class DigammaReport:
     passed: bool
 
 
-def digamma_connection_check(lam, d, z_grid, entry_fn, rel_tol="1e-5",
-                             fd_step="1e-6", branch="primary"):
+def digamma_connection_check(lam, d, z_grid, entry_fn, branch="primary"):
     """Finite-difference log-derivative of a sampled entry vs digamma.
 
     For the one-zero family with parameter lam, the sampled entry E
@@ -802,10 +797,11 @@ def digamma_connection_check(lam, d, z_grid, entry_fn, rel_tol="1e-5",
     on the sector family through arg(lam); on the opposite family
     ('secondary') the relation uses psi(1 - lam/z) with the log branch
     0 < arg(lam/z) < 2 pi and an extra -i pi.  The centered finite
-    difference limits the attainable accuracy.
+    difference, of step _FD_STEP |z|, limits the attainable accuracy; the
+    check passes at relative error _DIGAMMA_REL_TOL.
     """
     lam = to_mpc(lam)
-    rel_tol, fd_step = mpf(rel_tol), mpf(fd_step)
+    rel_tol, fd_step = mpf(_DIGAMMA_REL_TOL), mpf(_FD_STEP)
     c = lam - lam * mpmath.log(lam)
     worst = mpf(0)
     for z in z_grid:

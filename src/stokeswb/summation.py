@@ -24,7 +24,7 @@ from . import derham, gevrey
 from .errors import (ContinuationDiverged, DivergentLaplace, EmptyGrid,
                      GrowthTooFast, NearSingularity, RootFindingFailed,
                      SingularRay)
-from .gevrey import GevreySeries, UnboundedSector, formal_borel
+from .gevrey import GevreySeries, formal_borel
 from .scalar import adaptive_gauss, to_mpc
 
 # guard distance around a known singularity, relative to |zeta|
@@ -35,10 +35,9 @@ _AGREE_REL = "1e-8"
 
 @dataclass(frozen=True)
 class ExpSizeEstimate:
-    """Fitted bound |g(zeta)| <= C * exp(h |zeta|) on a sector."""
+    """Fitted bound |g(zeta)| <= C * exp(h |zeta|) at the fit's samples."""
     C: object
     h: object
-    sector: UnboundedSector
     max_residual: object = mpf(0)
     # samples left out of the fit because their continuation diverged
     excluded: int = 0
@@ -140,9 +139,6 @@ class BorelFunction:
             got = self._values[zeta] = (a, gap)
         return got
 
-    def __call__(self, zeta):
-        return continue_borel(self, zeta)
-
 
 def _expand_rational(p, q, n_out):
     """Taylor coefficients 0..n_out of P/Q, each from one `gevrey._cauchy`."""
@@ -179,14 +175,15 @@ def continue_borel(g, zeta, abs_budget=None):
     return a
 
 
-def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
+def exp_size_one_estimate(g, samples, residual_cap=mpf(10)):
     """Least-squares fit of log|g| <= log C + h |zeta| over the samples.
 
-    The returned (C, h) is shifted so the bound holds at every sample.
-    Samples whose continuation diverges are left out of the fit and
-    counted in the estimate's `excluded`.  Raises GrowthTooFast when the
-    shift is larger than `residual_cap`, i.e. the residuals grow beyond
-    any linear-in-|zeta| law.
+    The fit reads g at the samples alone.  The returned (C, h) is
+    shifted so the bound holds at every sample.  Samples whose
+    continuation diverges are left out of the fit and counted in the
+    estimate's `excluded`.  Raises GrowthTooFast when the shift is
+    larger than `residual_cap`, i.e. the residuals grow beyond any
+    linear-in-|zeta| law.
     """
     samples = [to_mpc(s) for s in samples]
     if not samples:
@@ -223,7 +220,7 @@ def exp_size_one_estimate(g, sector, samples, residual_cap=mpf(10)):
             raise GrowthTooFast(
                 f"slope grows with radius ({h_lo} -> {h_hi}): not of exponential size one")
     h = max(h, mpf(0))
-    return ExpSizeEstimate(mpmath.exp(logc + worst + mpf("1e-20")), h, sector, worst,
+    return ExpSizeEstimate(mpmath.exp(logc + worst + mpf("1e-20")), h, worst,
                            len(samples) - len(logs))
 
 
@@ -298,7 +295,7 @@ def laplace(g, d, z, tail_cut="1e-12", size=None):
 
     total = mpc(0)
     for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_gauss(integrand, a, b, quad_tol, n=32)
+        total += adaptive_gauss(integrand, a, b, quad_tol)
     return unit * total / z
 
 
@@ -325,8 +322,7 @@ def _default_size(g, d):
         if ok:
             samples.append(t * unit)
         t *= mpf("1.25")
-    sector = UnboundedSector(d, mpf("0.1"))
-    return exp_size_one_estimate(g, sector, samples)
+    return exp_size_one_estimate(g, samples)
 
 
 @dataclass
@@ -359,8 +355,7 @@ def series_hash(s):
     return hashlib.sha256(payload).hexdigest()
 
 
-def borel_sum(s, d, z_grid, tail_cut="1e-12", known_singularities=None,
-              pade_order=None):
+def borel_sum(s, d, z_grid, tail_cut="1e-12", known_singularities=None):
     """1-summation of a Gevrey series: Laplace of its Borel transform.
 
     The Borel transform is continued by diagonal Pade (`continue_borel`),
@@ -377,15 +372,14 @@ def borel_sum(s, d, z_grid, tail_cut="1e-12", known_singularities=None,
             raise DivergentLaplace(f"z={z} outside the half-plane around d={d}")
     base = formal_borel(s)
     if known_singularities is None:
-        probe = BorelFunction(base, pade_order=pade_order)
+        probe = BorelFunction(base)
         r = probe.radius_estimate()
         if mpmath.isinf(r):
             known_singularities = []
         else:
             known_singularities = locate_borel_singularities(
                 probe, min(8 * r, mpf(50)))
-    g = BorelFunction(base, pade_order=pade_order,
-                      known_singularities=known_singularities)
+    g = BorelFunction(base, known_singularities=known_singularities)
     size = _default_size(g, d)
     points = [(to_mpc(z), laplace(g, d, z, tail_cut, size=size)) for z in z_grid]
     return SampledFunction(d, points, tail_cut, s, series_hash(s))

@@ -234,6 +234,23 @@ class TestStokes:
         assert mpf(factor["fit_residual"]) < mpf("1e-10")
 
 
+class TestGammaDemo:
+    FILES = {"stirling_table.csv", "xi_samples.csv", "summary.json",
+             "thimble_d0.0.csv", "thimble_d0.0.csv.json",
+             "thimble_d2.0.csv", "thimble_d2.0.csv.json"}
+
+    def test_bundle_passes_and_repeats_byte_identical(self, tmp_path):
+        # the README's end-to-end command; the second run in the same
+        # process finds every memo warm and must write the same bytes
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert run_cli(["gamma-demo", "--out", out]) == 0
+            assert {p.name for p in out.iterdir()} == self.FILES
+        assert json.loads((outs[0] / "summary.json").read_text())["all_passed"]
+        for name in self.FILES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestCheck:
     def test_all_pass(self, capsys):
         assert run_cli(["check"]) == 0

@@ -44,6 +44,13 @@ class TestAnalyze:
         finite = [pl for pl in form.poles if pl.location != INF]
         assert len(finite) == 1 and abs(finite[0].location) < mpf("1e-40")
 
+    def test_cancelled_pole_leaves_a_regular_form(self):
+        # x (x - 1) / x dx is (x - 1) dx: no finite pole is left, and the
+        # rebuilt form is regular at 0
+        form = derham.analyze([0, -1, 1], [0, 1])
+        assert [(p.location, p.order) for p in form.poles] == [(INF, 3)]
+        assert form.form(0) == -1
+
     def test_zero_at_infinity(self):
         # dx / x^3: zero of order 1 at infinity, pole of order 3 at 0
         form = derham.analyze([1], [0, 0, 0, 1])

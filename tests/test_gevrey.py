@@ -7,7 +7,7 @@ from mpmath import mp, mpf, mpc
 
 from stokeswb import derham, gevrey, summation
 from stokeswb.errors import EmptyGrid, ZeroLeadingCoefficient
-from stokeswb.gevrey import GevreySeries, Sector, from_coeffs
+from stokeswb.gevrey import GevreySeries, from_coeffs
 
 
 def coeffs_close(s, values, rel=mpf("1e-60")):
@@ -275,11 +275,3 @@ class TestSerialization:
         back = GevreySeries.from_json(data)
         assert back.precision == s.precision
         assert all(a == b for a, b in zip(back.coeffs, s.coeffs))
-
-    def test_sector_membership(self):
-        sec = Sector(0, 1, 1)
-        assert sec.contains(mpf("0.5"))
-        assert not sec.contains(mpf("1.5"))
-        assert not sec.contains(mpf("0.5") * mpmath.exp(1j * mpf("0.8")))
-        with pytest.raises(ValueError):
-            Sector(0, 0, 1)

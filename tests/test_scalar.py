@@ -21,17 +21,17 @@ def test_adaptive_gauss_raises_at_depth_limit():
         scalar.adaptive_gauss(jump, 0, 1, mpf("1e-60"))
 
 
-def _halving_gauss(f, a, b, tol, n=32, depth=0):
+def _halving_gauss(f, a, b, tol, depth=0):
     """The recursion that sums each panel as a whole and again as the
     two halves of its parent."""
-    whole = scalar.gauss_segment(f, a, b, n)
+    whole = scalar.gauss_segment(f, a, b)
     mid = (scalar.to_mpc(a) + scalar.to_mpc(b)) / 2
-    left = scalar.gauss_segment(f, a, mid, n)
-    right = scalar.gauss_segment(f, mid, b, n)
+    left = scalar.gauss_segment(f, a, mid)
+    right = scalar.gauss_segment(f, mid, b)
     if abs(whole - (left + right)) <= mpf(tol) / 10:
         return left + right
-    return (_halving_gauss(f, a, mid, tol / 2, n, depth + 1)
-            + _halving_gauss(f, mid, b, tol / 2, n, depth + 1))
+    return (_halving_gauss(f, a, mid, tol / 2, depth + 1)
+            + _halving_gauss(f, mid, b, tol / 2, depth + 1))
 
 
 @pytest.mark.parametrize("f, panels", [

@@ -52,7 +52,7 @@ class TestExpIntegral:
         total = mpc(0)
         for a, b in zip(corners[:-1], corners[1:]):
             total += gauss_segment(
-                lambda x: mpmath.exp(-(x - mpmath.log(x)) / z) / x, a, b, n=32)
+                lambda x: mpmath.exp(-(x - mpmath.log(x)) / z) / x, a, b)
         assert abs(total) < mpf("1e-30")
 
     def test_pure_local_model(self):
@@ -759,25 +759,21 @@ class TestStokesFactor:
             assert abs(a - b) < mpf("1e-8")
 
     def test_dropped_grid_points_are_reported(self):
-        # diag(1, t) has 1-norm condition number t; a cap between 10 and
-        # 1000 leaves out the last two points, and the singular one is
-        # left out at any cap
+        # diag(1, t) has 1-norm condition number t; the cap of 1e12
+        # leaves out the two points above it and the singular one
         lat = derham.period_lattice(derham.analyze([0, 0, 1], [1]))
         grid = [mpf(r) for r in ("0.3", "0.35", "0.4", "0.45", "0.5")]
-        mats = [[[1, 0], [0, t]] for t in (1, 10, 1000, 10 ** 4)]
+        mats = [[[1, 0], [0, t]] for t in (1, 10, 10 ** 13, 10 ** 14)]
         mats.append([[1, 1], [1, 1]])
         rows = [(0, 0), (0, 1)]
         entries = {(r, c): [mpc(m[r][c]) for m in mats]
                    for r in range(2) for c in range(2)}
         xi = stokes.SectorialMatrix(0, grid, rows, [None, None], entries, {},
                                     [mpc(0)])
-        fac = stokes.stokes_factor(xi, xi, lat, cond_cap=mpf(100))
+        fac = stokes.stokes_factor(xi, xi, lat)
         assert fac.overlap_grid == grid[:2]
         assert fac.dropped == grid[2:]
         assert fac.fit_residual == 0
-        fac = stokes.stokes_factor(xi, xi, lat)
-        assert fac.overlap_grid == grid[:4]
-        assert fac.dropped == grid[4:]
 
     def test_fit_needs_a_point_per_dictionary_term(self, gamma_lattice):
         # the Gamma lattice at basis bound 2 gives 5 terms: 4 kept points

@@ -6,7 +6,7 @@ from stokeswb import derham, gevrey, summation
 from stokeswb.errors import (ContinuationDiverged, DivergentLaplace,
                              GrowthTooFast, NearSingularity, SingularRay,
                              WorkbenchError)
-from stokeswb.gevrey import GevreySeries, UnboundedSector, from_coeffs
+from stokeswb.gevrey import GevreySeries, from_coeffs
 from stokeswb.summation import BorelFunction, borel_sum, continue_borel, laplace
 
 
@@ -107,9 +107,8 @@ class TestContinuation:
 class TestExpSize:
     def test_constant(self):
         g = BorelFunction(from_coeffs([1] + [0] * 40))
-        sector = UnboundedSector(0, mpf("0.1"))
         samples = [mpf("0.1") * mpf("1.5") ** k for k in range(12)]
-        est = summation.exp_size_one_estimate(g, sector, samples)
+        est = summation.exp_size_one_estimate(g, samples)
         assert est.h <= mpf("1e-8")
         assert abs(est.C - 1) < mpf("0.01")
 
@@ -119,19 +118,17 @@ class TestExpSize:
         # Borel data of sum n! z^n is the geometric series; use exp data instead
         g = BorelFunction(from_coeffs([1 / mpmath.factorial(n)
                                        for n in range(41)]))
-        sector = UnboundedSector(0, mpf("0.1"))
         samples = [mpf("0.5") * mpf("1.3") ** k for k in range(14)]
-        est = summation.exp_size_one_estimate(g, sector, samples)
+        est = summation.exp_size_one_estimate(g, samples)
         assert abs(est.h - 1) < mpf("0.05")
 
     def test_pole_straddle_flags_growth(self):
         g = geometric()
-        sector = UnboundedSector(0, mpf("0.1"))
         # samples pass very close to the pole at 1 (outside the guard)
         samples = [mpf("0.1") * mpf("1.2") ** k for k in range(16)]
         samples += [mpf(1) + mpf("3e-3"), mpf(1) - mpf("3e-3")]
         with pytest.raises(GrowthTooFast):
-            summation.exp_size_one_estimate(g, sector, samples, residual_cap=3)
+            summation.exp_size_one_estimate(g, samples, residual_cap=3)
 
     def test_excluded_samples_counted(self):
         # past |zeta| ~ 9 the Pade orders of the dual Stirling data disagree
@@ -144,16 +141,14 @@ class TestExpSize:
             except ContinuationDiverged:
                 diverged += 1
         assert diverged > 0
-        est = summation.exp_size_one_estimate(
-            g, UnboundedSector(0, mpf("0.1")), samples)
+        est = summation.exp_size_one_estimate(g, samples)
         assert est.excluded == diverged
 
     def test_beyond_pole_fit_is_flat(self):
         # with the near-pole region avoided the tail fit sees decay: h ~ 0
         g = geometric()
-        sector = UnboundedSector(0, mpf("0.1"))
         samples = [mpf(2) + mpf(k) for k in range(0, 40, 2)]
-        est = summation.exp_size_one_estimate(g, sector, samples)
+        est = summation.exp_size_one_estimate(g, samples)
         assert est.h < mpf("0.05")
 
 
@@ -209,8 +204,7 @@ class TestLaplace:
         g = BorelFunction(gevrey.formal_borel(dual_stirling(26)),
                           known_singularities=sing)
         d = mp.pi / 2
-        size = summation.ExpSizeEstimate(mpf(1), mpf(0),
-                                         UnboundedSector(d, mpf("0.1")))
+        size = summation.ExpSizeEstimate(mpf(1), mpf(0))
         tail_cut = mpf("1e-10")
         laplace(g, d, mpc(0, "0.1"), tail_cut=tail_cut, size=size)
         with pytest.raises(SingularRay):
