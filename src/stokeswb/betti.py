@@ -1,4 +1,11 @@
-"""Steepest-flow thimbles, local model cycles, and pole boundary data.
+"""Steepest-flow thimbles, discrete-Fourier cycles, and pole boundary data.
+
+A zero of order m carries m local cycles C_k, each a discrete-Fourier
+combination of the m+1 thimbles through it; a thimble is one outgoing
+ray minus the next, so a cycle's integral is a fixed combination of the
+integrals over the m+1 outgoing rays (`cycle_values`), which every
+caller, the sectorial matrices and the local model u^m du alike, forms
+from one value per ray.
 
 A thimble of direction d at a zero of order m is a flow line of
 Im(exp(-i d) f) = const leaving the zero along one of the m+1
@@ -22,31 +29,12 @@ from . import derham
 from .derham import INF
 from .errors import NoCapture, RootFindingFailed, SaddleEncounter
 from .lattice import exp_less_on_arc, exp_less_at, LESS
-from .scalar import legendre_nodes, to_mpc, wrap_angle
+from .scalar import _value_memo, legendre_nodes, to_mpc, wrap_angle
 
 
 # ---------------------------------------------------------------------------
-# local rays and discrete-Fourier cycles
+# discrete-Fourier cycles and the local model
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalRay:
-    ray_index: int           # 0..m (m+1 rays)
-    direction: object
-    slope_forward: object    # (2 pi l + d)/(m+1), the t >= 0 half
-    slope_backward: object   # (2 pi (l+1) + d)/(m+1), the t <= 0 half
-
-
-def local_rays(m, d):
-    d = mpf(d)
-    out = []
-    for ell in range(m + 1):
-        out.append(LocalRay(
-            ell, d,
-            (2 * mp.pi * ell + d) / (m + 1),
-            (2 * mp.pi * (ell + 1) + d) / (m + 1)))
-    return out
-
 
 def dft_weights(m):
     """(m+1) x (m+1) matrix w[k][l] = exp(-2 pi i (k+1) l/(m+1))/(m+1)."""
@@ -56,22 +44,25 @@ def dft_weights(m):
             for k in range(size)]
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """Complex combination of paths sharing one direction."""
-    members: tuple            # (weight, path) pairs
-    direction: object
+def cycle_values(ray_values):
+    """The m cycle values C_k = sum_l w[k][l] (v_l - v_(l+1 mod m+1)),
+    k = 0..m-1, from the values v_0..v_m of one integral over the m+1
+    outgoing rays at a zero of order m, with w = `dft_weights(m)`.
 
-    @classmethod
-    def combine(cls, weights, paths, direction):
-        return cls(tuple((to_mpc(w), p) for w, p in zip(weights, paths)), direction)
-
-
-def dft_cycles(m, d):
-    """Local model cycles C_k = sum_l w[k][l] c_l, k = 0..m-1."""
-    rays = local_rays(m, d)
-    weights = dft_weights(m)
-    return [Cycle.combine(weights[k], rays, mpf(d)) for k in range(m)]
+    Thimble c_l is outgoing ray l minus outgoing ray l+1 (its incoming
+    half traversed backwards), so each ray is integrated once for all m
+    cycles.
+    """
+    size = len(ray_values)
+    weights = dft_weights(size - 1)
+    out = []
+    for k in range(size - 1):
+        total = mpc(0)
+        for ell in range(size):
+            contrib = ray_values[ell] - ray_values[(ell + 1) % size]
+            total += weights[k][ell] * contrib
+        out.append(total)
+    return out
 
 
 def local_normalizer(m, k, z, d=0):
@@ -121,20 +112,11 @@ def local_ray_integral(m, ell, kprime, z, d=0):
     return phase * total
 
 
-def local_cycle_integral(cycle, m, kprime, z):
-    """Pairing of a local model cycle with u^k' du by quadrature.
-
-    Each member path c_l contributes its outgoing ray l minus the
-    outgoing ray l+1 (the incoming half traversed backwards).
-    """
-    d = cycle.direction
-    total = mpc(0)
-    for w, ray in cycle.members:
-        ell = ray.ray_index
-        plus = local_ray_integral(m, ell, kprime, z, d)
-        minus = local_ray_integral(m, (ell + 1) % (m + 1), kprime, z, d)
-        total += w * (plus - minus)
-    return total
+def local_cycle_integrals(m, kprime, z, d=0):
+    """Pairings of the m local model cycles with u^k' du by quadrature,
+    C_k at index k, each model ray integrated once."""
+    return cycle_values([local_ray_integral(m, ell, kprime, z, d)
+                         for ell in range(m + 1)])
 
 
 def boundary_set(pole, arc):
@@ -623,7 +605,7 @@ def trace_ray(one_form, crit, j, ell, d, controls=None):
                        controls or TraceControls())
 
 
-@derham._value_memo
+@_value_memo
 def _traced_ray(one_form, crit, j, ell, d, controls):
     return ThimbleRay(one_form, crit, j, ell, d, controls)
 

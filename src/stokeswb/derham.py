@@ -7,8 +7,6 @@ coordinate u with form = u^m du is built at every zero, and global
 the deformation parameter z.
 """
 
-import functools
-import inspect
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +19,7 @@ from .errors import (DegenerateLattice, NotOneForm, PathThroughPole,
                      RelationDetectionAmbiguous, RootFindingFailed)
 from .gevrey import GevreySeries
 from .lattice import Lattice, support_radius
-from .scalar import adaptive_gauss, cplx_to_pair, to_mpc
+from .scalar import _value_memo, adaptive_gauss, cplx_to_pair, to_mpc
 
 INF = "infinity"
 
@@ -724,29 +722,6 @@ def critical_values(one_form, basepoint, branch_paths, lat=None, offset=0):
 # ---------------------------------------------------------------------------
 # distinguished local coordinates at zeros
 # ---------------------------------------------------------------------------
-
-def _value_memo(fn):
-    """Memoize fn by the values of its arguments and the working precision.
-
-    The arguments are hashable values (frozen dataclasses, tuples,
-    numbers), so equal inputs share one result whatever ran before, and
-    the cache holds its keys, so no key can alias a dead object.  The
-    cache is the wrapper's `cache` attribute, read at every call.
-    """
-    signature = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def memoized(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (tuple(bound.arguments.values()), mp.prec)
-        out = memoized.cache.get(key)
-        if out is None:
-            out = memoized.cache[key] = fn(*args, **kwargs)
-        return out
-    memoized.cache = {}
-    return memoized
-
 
 @dataclass(frozen=True)
 class LocalCoordinate:

@@ -7,6 +7,8 @@ themselves in ``mp.workprec(prec)``.  The default working precision is
 environment variable (in bits, minimum 64).
 """
 
+import functools
+import inspect
 import os
 
 from mpmath import mp, mpf, mpc
@@ -90,20 +92,37 @@ def wrap_angle(theta):
     return theta
 
 
+def _value_memo(fn):
+    """Memoize fn by the values of its arguments and the working precision.
+
+    The arguments are hashable values (frozen dataclasses, tuples,
+    numbers), so equal inputs share one result whatever ran before, and
+    the cache holds its keys, so no key can alias a dead object.  The
+    cache is the wrapper's `cache` attribute, read at every call.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (tuple(bound.arguments.values()), mp.prec)
+        out = memoized.cache.get(key)
+        if out is None:
+            out = memoized.cache[key] = fn(*args, **kwargs)
+        return out
+    memoized.cache = {}
+    return memoized
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-_gl_cache = {}
-
-
+@_value_memo
 def legendre_nodes(n):
     """Nodes and weights of n-point Gauss-Legendre on [-1, 1] at working precision."""
     prec = mp.prec
-    key = (n, prec)
-    cached = _gl_cache.get(key)
-    if cached is not None:
-        return cached
     with mp.workprec(prec + 16):
         nodes = []
         for i in range(n):
@@ -125,8 +144,7 @@ def legendre_nodes(n):
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append((x, w))
         nodes.sort(key=lambda t: t[0])
-    _gl_cache[key] = tuple(nodes)
-    return _gl_cache[key]
+    return tuple(nodes)
 
 
 def gauss_segment(f, a, b):

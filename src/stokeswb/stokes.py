@@ -26,7 +26,8 @@ A later z reads on from there, so a result does not depend on which z
 ran before.
 
 Sectorial matrices collect the normalized integrals over the
-discrete-Fourier cycles; Stokes factors are least-squares fits of
+discrete-Fourier cycles, formed from one sum per ray
+(`betti.cycle_values`); Stokes factors are least-squares fits of
 matrix transition data over the exponential dictionary supplied by the
 period lattice.  Tolerance defaults are strings, made mpf at call time,
 so they carry the working precision of the call.
@@ -552,44 +553,42 @@ def sector_matrix(one_form, crit, d, z_grid, asy_order=12, controls=None,
         normalizer^-1 exp(c_j/z) * integral over the k-th cycle at zero j
     of exp(-f/z) omega, where the integral runs over the discrete-
     Fourier combination of traced thimbles, and the columns omega are the
-    `default_representatives` of the form.
+    `default_representatives` of the form.  Each of the m+1 rays at a
+    zero of order m is summed once per (omega, z), and every row of that
+    zero comes from one `betti.cycle_values` call on those sums.
     """
     d = mpf(d)
     for z in z_grid:
         if not abs(mpmath.arg(to_mpc(z) * mpmath.exp(-1j * d))) < mp.pi / 2:
             raise ValueError(f"grid point {z} outside the half-plane of {d}")
+    grid = [to_mpc(z) for z in z_grid]
     reps = default_representatives(one_form)
     row_index = []
-    for j, zero in enumerate(one_form.zeros):
-        for k in range(zero.order):
-            row_index.append((j, k))
     entries = {}
     asy = {}
-    df_max = _quantized_df(min(abs(to_mpc(z)) for z in z_grid), tol)
-    for r, (j, k) in enumerate(row_index):
-        m = one_form.zeros[j].order
-        weights = betti.dft_weights(m)[k]
+    df_max = _quantized_df(min(abs(z) for z in grid), tol)
+    for j, zero in enumerate(one_form.zeros):
+        m = zero.order
         # trace_ray and formal_comparison are memoized by value
         rays = [betti.trace_ray(one_form, crit, j, ell, d, controls)
                 for ell in range(m + 1)]
         c_j = crit.values[j]
-        for col, omega in enumerate(reps):
-            asy[(r, col)] = _flip_z(derham.formal_comparison(
-                omega, one_form, j, asy_order)[k])
-            vals = []
-            for z in z_grid:
-                z = to_mpc(z)
-                ray_vals = [ray_integral(ray, omega, z, tol, df_max)
-                            for ray in rays]
-                total = mpc(0)
-                for ell in range(m + 1):
-                    contrib = ray_vals[ell] - ray_vals[(ell + 1) % (m + 1)]
-                    total += weights[ell] * contrib
-                h = local_normalizer(m, k, z, d)
-                vals.append(total * mpmath.exp(c_j / z) / h)
-            entries[(r, col)] = vals
-    return SectorialMatrix(d, [to_mpc(z) for z in z_grid], row_index, list(reps),
-                           entries, asy, list(crit.values))
+        formal = [derham.formal_comparison(omega, one_form, j, asy_order)
+                  for omega in reps]
+        # per column and z, the m cycle values
+        cycles = [[betti.cycle_values([ray_integral(ray, omega, z, tol, df_max)
+                                       for ray in rays])
+                   for z in grid] for omega in reps]
+        for k in range(m):
+            r = len(row_index)
+            row_index.append((j, k))
+            norms = [local_normalizer(m, k, z, d) for z in grid]
+            for col in range(len(reps)):
+                asy[(r, col)] = _flip_z(formal[col][k])
+                entries[(r, col)] = [vals[k] * mpmath.exp(c_j / z) / h for z, vals, h
+                                     in zip(grid, cycles[col], norms)]
+    return SectorialMatrix(d, grid, row_index, list(reps), entries, asy,
+                           list(crit.values))
 
 
 def _flip_z(series):

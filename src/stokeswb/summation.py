@@ -27,7 +27,7 @@ from .errors import (ContinuationDiverged, DivergentLaplace, EmptyGrid,
 from .gevrey import GevreySeries, formal_borel
 from .scalar import adaptive_gauss, to_mpc
 
-# guard distance around a known singularity, relative to |zeta|
+# guard distance at zeta (`guard_distance`), relative to max(|zeta|, 1)
 _GUARD_FACTOR = "1e-3"
 # relative agreement two consecutive Pade orders must reach
 _AGREE_REL = "1e-8"
@@ -87,10 +87,12 @@ class BorelFunction:
         return mpf(_GUARD_FACTOR) * max(abs(to_mpc(zeta)), mpf(1))
 
     def _check_guard(self, zeta):
+        """NearSingularity within `guard_distance(s)` of a known s, the
+        distance `laplace` keeps its rays from s, so no node of an
+        accepted ray trips it."""
         zeta = to_mpc(zeta)
-        guard = mpf(_GUARD_FACTOR) * abs(zeta)
         for s in self.known_singularities:
-            if abs(zeta - s) < guard:
+            if abs(zeta - s) < self.guard_distance(s):
                 raise NearSingularity(f"zeta within guard distance of {s}")
 
     # -- Pade --

@@ -40,3 +40,14 @@ def gamma_omega():
 @pytest.fixture(scope="session")
 def gamma_thimble(gamma_form, gamma_crit):
     return betti.trace_thimble(gamma_form, gamma_crit, 0, 0, 0)
+
+
+@pytest.fixture(scope="session")
+def power_form():
+    """x^m dx and its critical data, by m: one zero of order m at 0 with
+    critical value 0, no finite pole, no periods."""
+    def build(m):
+        form = derham.analyze([0] * m + [1], [1])
+        lat = derham.period_lattice(form)
+        return form, derham.critical_values(form, 0, [[0]], lat=lat)
+    return build

@@ -8,40 +8,37 @@ from stokeswb import betti, derham
 from stokeswb.betti import TraceControls
 from stokeswb.derham import INF
 from stokeswb.errors import NoCapture, SaddleEncounter
+from stokeswb.scalar import wrap_angle
+
+
+def assert_seed_directions(form, crit, d):
+    """arg u_seed of traced ray l is (2 pi l + d)/(m+1) mod 2 pi."""
+    m = form.zeros[0].order
+    for ell in range(m + 1):
+        ray = betti.trace_ray(form, crit, 0, ell, d)
+        want = (2 * mp.pi * ell + mpf(d)) / (m + 1)
+        assert abs(wrap_angle(mpmath.arg(ray.u_seed) - want)) < mpf("1e-40")
 
 
 class TestLocalRays:
-    def test_order_one(self):
-        rays = betti.local_rays(1, 0)
-        assert len(rays) == 2
-        assert abs(rays[0].slope_forward) < mpf("1e-40")
-        assert abs(rays[0].slope_backward - mp.pi) < mpf("1e-40")
-        assert abs(rays[1].slope_forward - mp.pi) < mpf("1e-40")
+    def test_order_one(self, gamma_form, gamma_crit):
+        assert_seed_directions(gamma_form, gamma_crit, 0)
 
-    def test_order_two(self):
-        rays = betti.local_rays(2, 0)
-        slopes = [r.slope_forward for r in rays]
-        for got, want in zip(slopes, (0, 2 * mp.pi / 3, 4 * mp.pi / 3)):
-            assert abs(got - want) < mpf("1e-40")
+    def test_order_two(self, power_form):
+        assert_seed_directions(*power_form(2), 0)
 
-    def test_direction_shift(self):
-        d = mpf("0.9")
-        rays0 = betti.local_rays(2, 0)
-        raysd = betti.local_rays(2, d)
-        for r0, rd in zip(rays0, raysd):
-            assert abs(rd.slope_forward - r0.slope_forward - d / 3) < mpf("1e-40")
+    def test_direction_shift(self, power_form):
+        assert_seed_directions(*power_form(2), mpf("0.9"))
 
 
 class TestDftCycles:
     def test_order_one_weights(self):
-        cyc = betti.dft_cycles(1, 0)[0]
-        weights = [w for w, _ in cyc.members]
+        weights = betti.dft_weights(1)[0]
         assert abs(weights[0] - mpf(1) / 2) < mpf("1e-40")
         assert abs(weights[1] + mpf(1) / 2) < mpf("1e-40")
 
     def test_order_two_weights(self):
-        cyc = betti.dft_cycles(2, 0)[0]
-        weights = [w for w, _ in cyc.members]
+        weights = betti.dft_weights(2)[0]
         third = mpf(1) / 3
         assert abs(weights[0] - third) < mpf("1e-40")
         assert abs(weights[1] - third * mpmath.exp(-2j * mp.pi / 3)) < mpf("1e-40")
@@ -58,14 +55,31 @@ class TestDftCycles:
                     target = mpf(1) / size if i == j else mpf(0)
                     assert abs(acc - target) < mpf("1e-60")
 
+    def test_cycle_values_from_one_value_per_ray(self, monkeypatch):
+        # C_k = sum_l w[k][l] (v_l - v_(l+1)), and the local model integrates
+        # each of its m+1 rays once for all m cycles
+        v = [mpc(2, 1), mpc(-1, 3), mpc("0.5", -2)]
+        w = betti.dft_weights(2)
+        for k, got in enumerate(betti.cycle_values(v)):
+            want = sum(w[k][l] * (v[l] - v[(l + 1) % 3]) for l in range(3))
+            assert abs(got - want) < mpf("1e-70")
+        rays = []
+        ray_integral = betti.local_ray_integral
+
+        def counted(m, ell, *args):
+            rays.append(ell)
+            return ray_integral(m, ell, *args)
+        monkeypatch.setattr(betti, "local_ray_integral", counted)
+        assert len(betti.local_cycle_integrals(2, 0, mpf("0.3"))) == 2
+        assert rays == [0, 1, 2]
+
     def test_diagonality_by_quadrature(self):
         m = 2
         z = mpf("0.3")
         h00 = betti.local_normalizer(m, 0, z, 0)
-        cyc = betti.dft_cycles(m, 0)
-        for k in range(2):
-            for kprime in range(2):
-                val = betti.local_cycle_integral(cyc[k], m, kprime, z)
+        for kprime in range(2):
+            vals = betti.local_cycle_integrals(m, kprime, z)
+            for k, val in enumerate(vals):
                 if k == kprime:
                     want = betti.local_normalizer(m, k, z, 0)
                     assert abs(val - want) <= mpf("1e-8") * abs(want)
@@ -87,8 +101,7 @@ class TestLocalNormalizer:
 
     def test_quadrature_match(self):
         for z in (mpf("0.1"), mpf("0.3"), mpf(1)):
-            cyc = betti.dft_cycles(1, 0)[0]
-            quad = betti.local_cycle_integral(cyc, 1, 0, z)
+            quad = betti.local_cycle_integrals(1, 0, z)[0]
             want = betti.local_normalizer(1, 0, z, 0)
             assert abs(quad - want) <= mpf("1e-8") * abs(want)
 

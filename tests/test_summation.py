@@ -68,6 +68,15 @@ class TestContinuation:
         with pytest.raises(NearSingularity):
             continue_borel(geometric(), 1)
 
+    def test_guard_is_the_laplace_guard(self):
+        # 2^n has its pole at 1/2; 7e-4 from it lies inside the 1e-3 guard
+        # distance by which `laplace` refuses a ray
+        g = BorelFunction(GevreySeries(tuple(mpc(2) ** n for n in range(61))),
+                          known_singularities=[mpf("0.5")])
+        assert g.guard_distance(mpf("0.5")) == mpf("1e-3")
+        with pytest.raises(NearSingularity):
+            continue_borel(g, mpf("0.5") + mpf("7e-4"))
+
     def test_stirling_borel_value_between_singularities(self):
         # the target lies between the branch points 2 pi i and 4 pi i on
         # their common axis: the rational approximant's cut runs through
